@@ -171,8 +171,9 @@ def unpack(b):
     if not isinstance(b, BitTensor):
         raise TypeError("unpack() expects a BitTensor")
     out = b.bits().astype(np.float32)
-    out = out * 2.0 - 1.0
-    return out.reshape(b.shape).astype(np.float32)
+    out *= 2.0
+    out -= 1.0
+    return out.reshape(b.shape)
 
 
 def xnor_popcount_dot(a, b):

@@ -1,68 +1,53 @@
-"""Packed compute kernels for the binarized encoder.
+"""Compute kernels for the packed binarized encoder.
 
-Internal module. Feature maps on the hot path use a pixel-word layout:
-``(H, W, nw)`` uint64 where the ``C`` channel bits of each pixel sit
-LSB-first in ``nw = ceil(C/64)`` words and unused tail bits are zero.
-The zero ring added for padding therefore encodes -1 everywhere, which is
-exactly the binary padding value the reference float path uses.
+Internal module. Weights are stored as bits (``BitTensor``); this module
+decides how each stage computes on them.
 
-Thresholding works in the match-count domain: a +-1 dot product of window
-size ``n`` equals ``2*(matches - tail) - n``, so the per-channel integer
-threshold ``tau`` on the dot product becomes
+Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1. A
+binary conv pads the map with -1, lays out the 3x3 windows as rows of an
+im2col matrix of +-1.0 float32 values, and multiplies it by the ``(9*C, O)``
++-1.0 weight matrix in one sgemm. The first conv runs the same im2col +
+sgemm on the raw 8-bit pixels with zero padding. Each output channel then
+fires where ``(pre >= tau) != flip``, with ``(tau, flip)`` the BN->sign
+threshold folded in ``layers.fold_bn_sign``.
 
-    matches >= ceil((tau + n)/2) + tail_constant
+The sgemm is exact. Every product is an integer and every partial sum is an
+integer of magnitude below 2**24, which float32 represents exactly, so no
+summation order, blocking or fused multiply-add inside BLAS can change a
+result: binary convs sum at most 9*256 = 2304 terms of +-1 at the paper
+geometry, and the first conv sums at most 27*255 = 6885. Thresholds are
+clipped to one past the largest reachable sum before they are cast to
+float32, which keeps them exact too without changing any comparison.
 
-with ``tail_constant`` the (input-independent) popcount contribution of the
-zero tail bits, which XNOR to ones against the zero-padded weight words.
-
-Two implementations are kept: numba-compiled kernels (native popcount) and
-a portable vectorized numpy fallback. They are bit-identical; tests compare
-both against the float reference pipeline.
+Fully-connected stages stay XNOR-popcount on packed words: the flattened
+conv map is packed row-major into ``ceil(n/64)`` uint64 words, bit i at
+position ``i & 63`` of word ``i >> 6`` with zero tail bits (the ``BitTensor``
+layout), and each output neuron counts matches against its packed weight
+row. fc1 at paper geometry has 1024 x 12544 weights: 1.6 MB as packed words,
+but 51 MB as a float32 matrix that a matrix-vector product would have to
+stream on every frame, while the popcount takes well under a millisecond.
+A +-1 dot product of length ``n`` equals ``2*(matches - tail) - n``, so the
+threshold on the dot product becomes a threshold on the match count, see
+``match_thresholds``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .core import BitTensor, popcount
 
-try:
-    if os.environ.get("BITMOTOR_FORCE_NUMPY"):
-        raise ImportError("numba disabled via BITMOTOR_FORCE_NUMPY")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_DEFAULT_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def default_backend():
-    return _DEFAULT_BACKEND
-
-
-def _resolve(backend):
-    b = backend or _DEFAULT_BACKEND
-    if b == "numba" and not HAVE_NUMBA:
-        b = "numpy"
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {b!r}")
-    return b
-
-
 # ---------------------------------------------------------------------------
 # layout conversions
 # ---------------------------------------------------------------------------
+
 
 def nwords(c):
     return (int(c) + 63) // 64
 
 
 def pack_channel_words(bits):
-    """(..., C) array of 0/1 -> (..., nw) uint64 pixel words, zero tails."""
+    """(..., C) array of 0/1 -> (..., nw) uint64 words, LSB first, zero tails."""
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     c = bits.shape[-1]
     nw = nwords(c)
@@ -73,52 +58,29 @@ def pack_channel_words(bits):
 
 
 def unpack_channel_words(words, c):
-    """(..., nw) uint64 pixel words -> (..., C) array of 0/1 uint8."""
+    """(..., nw) uint64 words -> (..., C) array of 0/1 uint8."""
     by = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(by, axis=-1, bitorder="little")
     return bits[..., : int(c)]
 
 
-def pixelwords_from_bittensor(bt):
-    """BitTensor (H, W, C) -> pixel-word map (H, W, nw)."""
+def bool_from_bittensor(bt):
+    """BitTensor (H, W, C) -> (H, W, C) bool map, True for +1."""
     if len(bt.shape) != 3:
         raise ValueError(f"expected (H, W, C) BitTensor, got {bt.shape}")
-    h, w, c = bt.shape
-    return pack_channel_words(bt.bits().reshape(h, w, c))
+    return bt.bits().view(np.bool_).reshape(bt.shape)
 
 
-def bittensor_from_pixelwords(words, c):
-    h, w, _ = words.shape
-    return BitTensor.from_bits(unpack_channel_words(words, c).reshape(-1), (h, w, c))
+def bittensor_from_bool(x):
+    """(H, W, C) bool map -> BitTensor of the same shape."""
+    return BitTensor.from_bits(x, x.shape)
 
 
-def pad_pixelwords(words):
-    """Add a 1-pixel ring of zero words (binary -1 padding)."""
-    h, w, nw = words.shape
-    out = np.zeros((h + 2, w + 2, nw), np.uint64)
-    out[1:-1, 1:-1] = words
-    return out
-
-
-def flat_words(words, c):
-    """Pixel-word map (H, W, nw) with C used bits -> flat (H*W*C)-bit words.
-
-    When C is a multiple of 64 the per-pixel tails vanish and this is a plain
-    ravel; otherwise the bits are repacked without the interior tails.
-    """
-    h, w, nw = words.shape
-    if int(c) % 64 == 0:
-        return np.ascontiguousarray(words.reshape(-1))
-    bits = unpack_channel_words(words, c).reshape(1, 1, -1)
-    return pack_channel_words(bits)[0, 0]
-
-
-def pack_conv_weights(wsigns):
-    """Conv weight signs (O, C, 3, 3) of +-1 -> tap words (O, 9, nw)."""
-    o, c, _, _ = wsigns.shape
-    bits = (np.asarray(wsigns) > 0).astype(np.uint8)
-    taps = bits.transpose(0, 2, 3, 1).reshape(o, 9, c)  # (o, dy*3+dx, C)
-    return pack_channel_words(taps)
+def flat_words(x, c):
+    """(H, W, C) bool map -> flat words of its row-major (H*W*C)-bit ravel."""
+    if x.shape[-1] != c:
+        raise ValueError(f"map has {x.shape[-1]} channels, expected {c}")
+    return pack_channel_words(x.reshape(-1))
 
 
 def pack_fc_weights(wsigns):
@@ -128,7 +90,11 @@ def pack_fc_weights(wsigns):
 
 
 def match_thresholds(tau, flip, n, tail_const):
-    """Dot-domain (tau, flip) -> match-count threshold for the kernels."""
+    """Dot-domain (tau, flip) -> match-count threshold for the FC kernel.
+
+    ``tail_const`` is the popcount contribution of the zero tail bits, which
+    XNOR to ones against the zero-padded weight words.
+    """
     tau = np.asarray(tau, dtype=np.int64)
     taum = (tau + n + 1) // 2 + tail_const
     taum = np.clip(taum, np.iinfo(np.int32).min, np.iinfo(np.int32).max)
@@ -136,260 +102,60 @@ def match_thresholds(tau, flip, n, tail_const):
 
 
 # ---------------------------------------------------------------------------
-# numba kernels
+# conv stages: im2col + sgemm
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
 
-    @njit(cache=True, inline="always")
-    def _pc64(x):
-        # SWAR popcount; LLVM lowers this idiom to the native instruction.
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True, parallel=True)
-    def _conv1_nb(xp, w, tau, flip, nwo):
-        # xp (C, H+2, W+2) int16 pixels with zero pad; w (O, C, 3, 3) int16 +-1
-        cin = xp.shape[0]
-        h = xp.shape[1] - 2
-        wd = xp.shape[2] - 2
-        o_ch = w.shape[0]
-        out = np.zeros((h, wd, nwo), np.uint64)
-        for y in prange(h):
-            accs = np.zeros((o_ch, wd), np.int16)
-            for o in range(o_ch):
-                arow = accs[o]
-                for c in range(cin):
-                    for dy in range(3):
-                        xrow = xp[c, y + dy]
-                        for dx in range(3):
-                            if w[o, c, dy, dx] == 1:
-                                for x in range(wd):
-                                    arow[x] += xrow[x + dx]
-                            else:
-                                for x in range(wd):
-                                    arow[x] -= xrow[x + dx]
-            for x in range(wd):
-                for wi in range(nwo):
-                    word = np.uint64(0)
-                    lim = min(64, o_ch - wi * 64)
-                    for b in range(lim):
-                        o = wi * 64 + b
-                        if (np.int32(accs[o, x]) >= tau[o]) != flip[o]:
-                            word |= np.uint64(1) << np.uint64(b)
-                    out[y, x, wi] = word
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _conv_bin_nb(xw, wwf, taum, flip, nwo):
-        # xw (H+2, W+2, nw); wwf (O, 9*nw) tap-major weight words
-        h = xw.shape[0] - 2
-        wd = xw.shape[1] - 2
-        nw = xw.shape[2]
-        o_ch = wwf.shape[0]
-        m = 9 * nw
-        out = np.zeros((h, wd, nwo), np.uint64)
-        for y in prange(h):
-            xl = np.empty(36, np.uint64)
-            for x in range(wd):
-                i = 0
-                for dy in range(3):
-                    for dx in range(3):
-                        for k in range(nw):
-                            xl[i] = xw[y + dy, x + dx, k]
-                            i += 1
-                for wi in range(nwo):
-                    word = np.uint64(0)
-                    lim = min(64, o_ch - wi * 64)
-                    for b in range(lim):
-                        o = wi * 64 + b
-                        acc0 = np.uint64(0)
-                        acc1 = np.uint64(0)
-                        j = 0
-                        while j + 1 < m:
-                            acc0 += _pc64(~(xl[j] ^ wwf[o, j]))
-                            acc1 += _pc64(~(xl[j + 1] ^ wwf[o, j + 1]))
-                            j += 2
-                        if j < m:
-                            acc0 += _pc64(~(xl[j] ^ wwf[o, j]))
-                        if (np.int32(acc0 + acc1) >= taum[o]) != flip[o]:
-                            word |= np.uint64(1) << np.uint64(b)
-                    out[y, x, wi] = word
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _conv_bin_pair_nb(xw, wpair, taum, flip, nwo):
-        # C <= 32 fast case: two vertically adjacent pixel words share one
-        # uint64 (low/high halves), turning the 9-tap window into 6 popcounts.
-        hp = xw.shape[0]
-        wp = xw.shape[1]
-        h = hp - 2
-        wd = wp - 2
-        o_ch = wpair.shape[0]
-        pair = np.empty((h, wp), np.uint64)
-        for y in range(h):
-            for x in range(wp):
-                pair[y, x] = xw[y, x, 0] | (xw[y + 1, x, 0] << np.uint64(32))
-        out = np.zeros((h, wd, nwo), np.uint64)
-        for y in prange(h):
-            for x in range(wd):
-                p0 = pair[y, x]
-                p1 = pair[y, x + 1]
-                p2 = pair[y, x + 2]
-                s0 = xw[y + 2, x, 0]
-                s1 = xw[y + 2, x + 1, 0]
-                s2 = xw[y + 2, x + 2, 0]
-                for wi in range(nwo):
-                    word = np.uint64(0)
-                    lim = min(64, o_ch - wi * 64)
-                    for b in range(lim):
-                        o = wi * 64 + b
-                        acc = _pc64(~(p0 ^ wpair[o, 0, 0]))
-                        acc += _pc64(~(p1 ^ wpair[o, 1, 0]))
-                        acc += _pc64(~(p2 ^ wpair[o, 2, 0]))
-                        acc += _pc64(~(s0 ^ wpair[o, 0, 1]))
-                        acc += _pc64(~(s1 ^ wpair[o, 1, 1]))
-                        acc += _pc64(~(s2 ^ wpair[o, 2, 1]))
-                        if (np.int32(acc) >= taum[o]) != flip[o]:
-                            word |= np.uint64(1) << np.uint64(b)
-                    out[y, x, wi] = word
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _fc_bin_nb(xv, wv, taum, flip, nwo):
-        o_ch = wv.shape[0]
-        nw = xv.shape[0]
-        out = np.zeros(nwo, np.uint64)
-        for wi in prange(nwo):
-            word = np.uint64(0)
-            lim = min(64, o_ch - wi * 64)
-            for b in range(lim):
-                o = wi * 64 + b
-                acc0 = np.uint64(0)
-                acc1 = np.uint64(0)
-                j = 0
-                while j + 1 < nw:
-                    acc0 += _pc64(~(xv[j] ^ wv[o, j]))
-                    acc1 += _pc64(~(xv[j + 1] ^ wv[o, j + 1]))
-                    j += 2
-                if j < nw:
-                    acc0 += _pc64(~(xv[j] ^ wv[o, j]))
-                if (np.int32(acc0 + acc1) >= taum[o]) != flip[o]:
-                    word |= np.uint64(1) << np.uint64(b)
-            out[wi] = word
-        return out
-
-    @njit(cache=True)
-    def _pool_or_nb(xw):
-        h, wd, nw = xw.shape
-        ho = (h - 3) // 2 + 1
-        wo = (wd - 3) // 2 + 1
-        out = np.empty((ho, wo, nw), np.uint64)
-        for y in range(ho):
-            for x in range(wo):
-                for k in range(nw):
-                    v = np.uint64(0)
-                    for dy in range(3):
-                        for dx in range(3):
-                            v |= xw[2 * y + dy, 2 * x + dx, k]
-                    out[y, x, k] = v
-        return out
+def _weight_matrix(wsigns):
+    """(O, C, 3, 3) weights -> (9*C, O) float32, rows ordered (dy, dx, c)."""
+    o_ch, cin = wsigns.shape[:2]
+    w = np.asarray(wsigns, dtype=np.float32).transpose(2, 3, 1, 0)
+    return np.ascontiguousarray(w.reshape(9 * cin, o_ch))
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback kernels
-# ---------------------------------------------------------------------------
+def _float_thresholds(tau, bound):
+    """Integer thresholds clipped to [-(bound+1), bound+1], as exact float32.
 
-def _threshold_pack(counts, taum, flip):
-    """(..., O) int match counts -> (..., nwo) packed output words."""
-    fire = (counts >= taum.astype(np.int64)) != flip
-    return pack_channel_words(fire.astype(np.uint8))
+    Pre-activations lie in [-bound, bound], so the clip changes no
+    comparison, and bound+1 < 2**24 keeps the cast exact.
+    """
+    tau = np.clip(np.asarray(tau, dtype=np.int64), -(bound + 1), bound + 1)
+    return tau.astype(np.float32)
 
 
-def _conv1_np(xp_hwc, w, tau, flip):
-    # im2col + sgemm; +-1 weights on integer pixels stay exactly integral
-    hp, wp, cin = xp_hwc.shape
+def _conv_fire(xp, ww, tau, flip):
+    """Padded (H+2, W+2, C) float32 map -> (H, W, O) bool map of fired units."""
+    hp, wp, cin = xp.shape
     h, wd = hp - 2, wp - 2
-    o_ch = w.shape[0]
-    cols = np.empty((h, wd, 3, 3, cin), np.float32)
+    # im2col in two passes, horizontal taps then vertical, so each copy moves
+    # runs of 3*C floats; that is faster than nine copies of C when C is small
+    rows = np.empty((hp, wd, 3, cin), np.float32)
+    for dx in range(3):
+        rows[:, :, dx] = xp[:, dx : dx + wd]
+    rows = rows.reshape(hp, wd, 3 * cin)
+    cols = np.empty((h, wd, 3, 3 * cin), np.float32)
     for dy in range(3):
-        for dx in range(3):
-            cols[:, :, dy, dx, :] = xp_hwc[dy : dy + h, dx : dx + wd, :]
-    w2 = w.astype(np.float32).transpose(2, 3, 1, 0).reshape(9 * cin, o_ch)
-    pre = (cols.reshape(h * wd, 9 * cin) @ w2).reshape(h, wd, o_ch)
-    pre = np.rint(pre).astype(np.int32)
-    return _threshold_pack(pre, tau, flip)
+        cols[:, :, dy] = rows[dy : dy + h]
+    pre = cols.reshape(h * wd, 9 * cin) @ ww
+    return ((pre >= tau) != flip).reshape(h, wd, -1)
 
 
-def _conv_bin_np(xw, ww, taum, flip):
-    # ww (O, 9, nw); per-tap broadcast XNOR + popcount
-    h = xw.shape[0] - 2
-    wd = xw.shape[1] - 2
-    nw = xw.shape[2]
-    o_ch = ww.shape[0]
-    counts = np.zeros((h, wd, o_ch), np.int32)
-    for t in range(9):
-        dy, dx = divmod(t, 3)
-        v = xw[dy : dy + h, dx : dx + wd, :]  # (h, wd, nw)
-        x = np.bitwise_xor(v[:, :, None, :], ww[None, None, :, t, :])
-        np.bitwise_not(x, out=x)
-        counts += popcount(x).sum(axis=-1, dtype=np.int32)
-    return _threshold_pack(counts, taum, flip)
-
-
-def _fc_bin_np(xv, wv, taum, flip):
-    x = np.bitwise_xor(wv, xv[None, :])
-    np.bitwise_not(x, out=x)
-    counts = popcount(x).sum(axis=1, dtype=np.int64)
-    fire = (counts >= taum.astype(np.int64)) != flip
-    return pack_channel_words(fire.astype(np.uint8)[None, :])[0]
-
-
-def _pool_or_np(xw):
-    h, wd, nw = xw.shape
-    ho = (h - 3) // 2 + 1
-    wo = (wd - 3) // 2 + 1
-    out = np.zeros((ho, wo, nw), np.uint64)
-    for dy in range(3):
-        for dx in range(3):
-            np.bitwise_or(
-                out, xw[dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :], out=out
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch layer
-# ---------------------------------------------------------------------------
-
-def conv1_forward(pixels, wsigns, tau, flip, backend=None):
+def conv1_forward(pixels, wsigns, tau, flip):
     """First-layer binary-weight conv on integer pixels.
 
     pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3) of +-1;
     tau/flip: per-channel thresholds in the integer pre-activation domain.
-    Returns the (H, W, nwo) pixel-word map of the binarized output.
+    Returns the (H, W, O) bool map of the binarized output.
     """
     h, wd, cin = pixels.shape
-    o_ch = wsigns.shape[0]
-    nwo = nwords(o_ch)
-    tau = np.ascontiguousarray(tau, dtype=np.int32)
-    flip = np.ascontiguousarray(flip, dtype=np.bool_)
-    if _resolve(backend) == "numba":
-        xp = np.zeros((cin, h + 2, wd + 2), np.int16)
-        xp[:, 1:-1, 1:-1] = np.asarray(pixels).transpose(2, 0, 1)
-        w = np.ascontiguousarray(wsigns, dtype=np.int16)
-        return _conv1_nb(xp, w, tau, flip, nwo)
     xp = np.zeros((h + 2, wd + 2, cin), np.float32)
     xp[1:-1, 1:-1] = pixels
-    return _conv1_np(xp, np.asarray(wsigns), tau, flip)
+    tau = _float_thresholds(tau, 9 * cin * 255)
+    return _conv_fire(xp, _weight_matrix(wsigns), tau, np.asarray(flip, np.bool_))
 
 
 class BinConvKernel:
-    """Prepacked weights + thresholds for one binary conv layer."""
+    """+-1 weight matrix and thresholds for one binary conv layer."""
 
     def __init__(self, wsigns, tau, flip):
         o_ch, cin, kh, kw = wsigns.shape
@@ -397,58 +163,53 @@ class BinConvKernel:
             raise ValueError("binary conv kernels are 3x3")
         self.out_channels = o_ch
         self.in_channels = cin
-        self.nwo = nwords(o_ch)
-        self.nw = nwords(cin)
-        ww = pack_conv_weights(wsigns)  # (O, 9, nw)
-        self.ww = np.ascontiguousarray(ww)
-        self.wwf = np.ascontiguousarray(ww.reshape(o_ch, 9 * self.nw))
-        n = 9 * cin
-        self.taum, self.flip = match_thresholds(tau, flip, n, 9 * (64 * self.nw - cin))
-        self.pairable = cin <= 32
-        if self.pairable:
-            wp = np.zeros((o_ch, 3, 2), np.uint64)
-            w0 = ww[:, :, 0]  # taps (dy*3+dx)
-            for dx in range(3):
-                wp[:, dx, 0] = w0[:, 0 * 3 + dx] | (w0[:, 1 * 3 + dx] << np.uint64(32))
-                wp[:, dx, 1] = w0[:, 2 * 3 + dx]
-            self.wpair = wp
-            self.taum_pair, _ = match_thresholds(tau, flip, n, 3 * (128 - 3 * cin))
+        self.ww = _weight_matrix(wsigns)
+        self.tau = _float_thresholds(tau, 9 * cin)
+        self.flip = np.ascontiguousarray(flip, dtype=np.bool_)
 
-    def __call__(self, xw, backend=None):
-        """xw: unpadded (H, W, nw) pixel words -> (H, W, nwo)."""
-        xp = pad_pixelwords(xw)
-        if _resolve(backend) == "numba":
-            if self.pairable:
-                return _conv_bin_pair_nb(xp, self.wpair, self.taum_pair, self.flip, self.nwo)
-            return _conv_bin_nb(xp, self.wwf, self.taum, self.flip, self.nwo)
-        return _conv_bin_np(xp, self.ww, self.taum, self.flip)
+    def __call__(self, x):
+        """x: (H, W, C) bool map -> (H, W, O) bool map."""
+        h, wd, _ = x.shape
+        xp = np.zeros((h + 2, wd + 2, self.in_channels), np.float32)
+        xp[1:-1, 1:-1] = x
+        xp *= 2.0
+        xp -= 1.0
+        return _conv_fire(xp, self.ww, self.tau, self.flip)
+
+
+def pool_or(x):
+    """3x3 stride-2 max pool over a +-1 bool map = OR of the window."""
+    h, wd = x.shape[:2]
+    if h < 3 or wd < 3:
+        raise ValueError("pool input smaller than kernel")
+    ho = (h - 3) // 2 + 1
+    wo = (wd - 3) // 2 + 1
+    # separable: OR along W, then along H
+    rows = x[:, 0 : 2 * wo - 1 : 2] | x[:, 1 : 2 * wo : 2] | x[:, 2 : 2 * wo + 1 : 2]
+    return rows[0 : 2 * ho - 1 : 2] | rows[1 : 2 * ho : 2] | rows[2 : 2 * ho + 1 : 2]
+
+
+# ---------------------------------------------------------------------------
+# FC stages: XNOR-popcount
+# ---------------------------------------------------------------------------
 
 
 class BinFcKernel:
-    """Prepacked weights + thresholds for one binary FC layer."""
+    """Packed weight rows and match-count thresholds for one binary FC layer."""
 
     def __init__(self, wsigns, tau, flip):
         o_ch, in_dim = wsigns.shape
         self.out_features = o_ch
         self.in_features = in_dim
-        self.nwo = nwords(o_ch)
         self.wv = np.ascontiguousarray(pack_fc_weights(wsigns))
         self.taum, self.flip = match_thresholds(
             tau, flip, in_dim, 64 * nwords(in_dim) - in_dim
         )
 
-    def __call__(self, xv, backend=None):
+    def __call__(self, xv):
         """xv: (nw,) input words -> (nwo,) output words."""
-        xv = np.ascontiguousarray(xv, dtype=np.uint64)
-        if _resolve(backend) == "numba":
-            return _fc_bin_nb(xv, self.wv, self.taum, self.flip, self.nwo)
-        return _fc_bin_np(xv, self.wv, self.taum, self.flip)
-
-
-def pool_or(xw, backend=None):
-    """3x3 stride-2 max pool over +-1 maps = OR over packed words."""
-    if xw.shape[0] < 3 or xw.shape[1] < 3:
-        raise ValueError("pool input smaller than kernel")
-    if _resolve(backend) == "numba":
-        return _pool_or_nb(np.ascontiguousarray(xw))
-    return _pool_or_np(xw)
+        x = np.bitwise_xor(self.wv, np.asarray(xv, dtype=np.uint64)[None, :])
+        np.bitwise_not(x, out=x)
+        counts = popcount(x).sum(axis=1, dtype=np.int64)
+        fire = (counts >= self.taum) != self.flip
+        return pack_channel_words(fire)

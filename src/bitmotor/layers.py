@@ -173,9 +173,7 @@ def maxpool(x, kernel=3, stride=2):
     if kernel != 3 or stride != 2:
         raise ValueError("pool geometry is fixed at kernel=3, stride=2")
     if isinstance(x, BitTensor):
-        xw = kernels.pixelwords_from_bittensor(x)
-        out = kernels.pool_or(xw)
-        return kernels.bittensor_from_pixelwords(out, x.shape[2])
+        return kernels.bittensor_from_bool(kernels.pool_or(kernels.bool_from_bittensor(x)))
     single = x.ndim == 3
     if single:
         x = x[None]
@@ -257,8 +255,8 @@ def threshold_apply(v, t: ThresholdParams):
 # public binary ops
 # ---------------------------------------------------------------------------
 
-def conv2d_binary(x: BitTensor, p: BinConvParams, backend=None):
-    """Binarized conv: XNOR-popcount over the 3x3 window, threshold to +-1.
+def conv2d_binary(x: BitTensor, p: BinConvParams):
+    """Binarized conv: exact +-1 sum over the 3x3 window, threshold to +-1.
 
     x is an (H, W, C) BitTensor; padding is -1 (zero bits); spatial size is
     preserved. Returns the (H, W, O) BitTensor of thresholded outputs.
@@ -267,19 +265,15 @@ def conv2d_binary(x: BitTensor, p: BinConvParams, backend=None):
         raise ValueError(f"expected (H, W, C) input, got {x.shape}")
     if x.shape[2] != p.in_channels:
         raise ValueError(f"input has {x.shape[2]} channels, weights expect {p.in_channels}")
-    xw = kernels.pixelwords_from_bittensor(x)
-    out = p.kernel()(xw, backend=backend)
-    return kernels.bittensor_from_pixelwords(out, p.out_channels)
+    return kernels.bittensor_from_bool(p.kernel()(kernels.bool_from_bittensor(x)))
 
 
-def fc_binary(x: BitTensor, p: BinFcParams, backend=None):
+def fc_binary(x: BitTensor, p: BinFcParams):
     """Binarized fully-connected layer: per-neuron XNOR-popcount + threshold."""
     n_in = p.weights.shape[1]
     if x.nbits != n_in:
         raise ValueError(f"input length {x.nbits} != weight in-dim {n_in}")
-    out = p.kernel()(x.words, backend=backend)
-    o = p.weights.shape[0]
-    return kernels.bittensor_from_pixelwords(out[None, None, :], o).reshape((o,))
+    return BitTensor((p.weights.shape[0],), p.kernel()(x.words))
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +339,9 @@ def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
 
 
 class PackedEncoder:
-    """Inference pipeline over bit-packed weights and folded thresholds."""
+    """Inference pipeline over bit-stored weights and folded thresholds."""
 
-    def __init__(self, enc: EncoderParams, backend=None):
-        self.backend = backend
+    def __init__(self, enc: EncoderParams):
         self.input_size = enc.input_size
         self.in_channels = enc.in_channels
         first = enc.layers[0]
@@ -369,26 +362,24 @@ class PackedEncoder:
 
     def feature_words(self, pixels):
         pixels = _check_pixels(pixels, self.input_size, self.in_channels)
-        xw = kernels.conv1_forward(
-            pixels, self.conv1_signs, self.conv1_tau, self.conv1_flip, backend=self.backend
-        )
+        x = kernels.conv1_forward(pixels, self.conv1_signs, self.conv1_tau, self.conv1_flip)
         c = self.conv1_signs.shape[0]
         if self.conv1_pool:
-            xw = kernels.pool_or(xw, backend=self.backend)
+            x = kernels.pool_or(x)
         spatial = True
         for kind, k, pool in self.stages:
             if kind == "conv":
-                xw = k(xw, backend=self.backend)
+                x = k(x)
                 c = k.out_channels
                 if pool:
-                    xw = kernels.pool_or(xw, backend=self.backend)
+                    x = kernels.pool_or(x)
             else:
                 if spatial:
-                    xw = kernels.flat_words(xw, c)
+                    x = kernels.flat_words(x, c)
                     spatial = False
-                xw = k(xw, backend=self.backend)
+                x = k(x)
                 c = k.out_features
-        return xw
+        return x
 
     def features(self, pixels):
         words = self.feature_words(pixels)
@@ -407,10 +398,10 @@ def _check_pixels(pixels, size, channels):
     return pixels
 
 
-def encoder_forward(img, enc: EncoderParams, path="packed", backend=None):
+def encoder_forward(img, enc: EncoderParams, path="packed"):
     """Run the binarized encoder on an 8-bit image; returns +-1.0 features.
 
-    path="packed" uses the bit-packed XNOR-popcount kernels; path="reference"
+    path="packed" uses the ``PackedEncoder`` kernels; path="reference"
     runs the float-emulation pipeline sign(BN(conv)) on the same quantized
     input. The two are exactly equal by construction (folding is exact).
     """
@@ -449,7 +440,10 @@ def nn_resize(x, size):
 
 
 def logistic(x):
-    x = np.asarray(x, dtype=np.float32)
+    """Numerically stable 1 / (1 + exp(-x)); floating inputs keep their dtype."""
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float32)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -328,8 +328,8 @@ class DcaeNet:
             self.params[spec.name + "_w"] = rng.normal(0, np.sqrt(2.0 / fan_in), shape).astype(self.dtype)
             self.params[spec.name + "_gamma"] = np.ones(spec.out_dim, self.dtype)
             self.params[spec.name + "_beta"] = np.zeros(spec.out_dim, self.dtype)
-            self.running[spec.name + "_mu"] = np.zeros(spec.out_dim, np.float32)
-            self.running[spec.name + "_var"] = np.ones(spec.out_dim, np.float32)
+            self.running[spec.name + "_mu"] = np.zeros(spec.out_dim, self.dtype)
+            self.running[spec.name + "_var"] = np.ones(spec.out_dim, self.dtype)
         o = self.out_spec
         self.params[o.name + "_w"] = rng.normal(0, np.sqrt(2.0 / (9 * o.in_dim)), (3, o.in_dim, 3, 3)).astype(self.dtype)
         self.params[o.name + "_b"] = np.zeros(3, self.dtype)
@@ -400,10 +400,10 @@ class DcaeNet:
                 m = cfg.bn_momentum
                 self.running[spec.name + "_mu"] = (
                     m * self.running[spec.name + "_mu"] + (1 - m) * mu
-                ).astype(np.float32)
+                ).astype(self.dtype)
                 self.running[spec.name + "_var"] = (
                     m * self.running[spec.name + "_var"] + (1 - m) * var
-                ).astype(np.float32)
+                ).astype(self.dtype)
             x, entry["act"] = self._act_fwd(spec.name, bn_out)
             prev_bin = spec.name in self.binarized
             if spec.pool:
@@ -430,7 +430,7 @@ class DcaeNet:
         entry = tape[-1]
         o = entry["spec"]
         s = entry["sig"]
-        dpre = (drecon * s * (1.0 - s)).astype(np.float32)
+        dpre = (drecon * s * (1.0 - s)).astype(self.dtype)
         dx, dw, db = _conv_bwd(dpre, entry["cols"], entry["w_eff"], with_bias=True)
         grads[o.name + "_w"] = dw
         grads[o.name + "_b"] = db

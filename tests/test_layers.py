@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitmotor import kernels
 from bitmotor.core import pack, sign_values, unpack
 from bitmotor.layers import (
     BinConvParams,
@@ -27,8 +28,6 @@ from bitmotor.layers import (
     random_encoder_params,
     threshold_apply,
 )
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
 
 def naive_conv(x, w, b, pad=1, pad_value=0.0):
@@ -61,6 +60,24 @@ def random_bn(rng, c, scale=1.0, signed_gamma=True):
         mu=rng.normal(0.0, 0.2 * scale, c),
         sigma2=rng.uniform(0.05, 1.0, c) * scale**2,
     )
+
+
+def edge_bn(rng, c, window):
+    """BN for c channels cycling through four cases: plain, zero variance,
+    and mean far beyond +-window with zero beta, so that the folded
+    threshold lies past every reachable sum (never or always fires).
+    gamma has a random sign, so each case also appears flipped.
+    """
+    bn = random_bn(rng, c, scale=np.sqrt(window))
+    case = rng.permutation(np.arange(c) % 4)
+    bn.sigma2[case == 1] = 0.0
+    far = case >= 2
+    bn.mu[far] = np.where(case[far] == 2, 1.0, -1.0) * rng.uniform(1.5, 4.0, far.sum()) * window
+    bn.beta[far] = 0.0
+    return bn
+
+
+EDGE_CHANNELS = (1, 3, 63, 64, 65, 130)
 
 
 class TestConvFloat:
@@ -147,8 +164,7 @@ class TestFc:
         out = fc_binary(x, BinFcParams(w, t))
         assert np.all(unpack(out) == 1.0)  # pre-activation 12544 >= 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_binary_matches_matvec_oracle(self, backend):
+    def test_binary_matches_matvec_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n_in = int(rng.integers(1, 200))
@@ -160,7 +176,7 @@ class TestFc:
             dots = (wv.astype(np.int64) @ xv.astype(np.int64))
             want = np.where((dots >= tau) != flip, 1.0, -1.0)
             got = unpack(
-                fc_binary(pack(xv), BinFcParams(pack(wv), ThresholdParams(tau, flip)), backend=backend)
+                fc_binary(pack(xv), BinFcParams(pack(wv), ThresholdParams(tau, flip)))
             )
             assert np.array_equal(got, want)
 
@@ -261,8 +277,7 @@ class TestConvBinary:
         out = unpack(conv2d_binary(x, p))
         assert np.all(out == -1.0)  # 9 < 10 everywhere
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_float_reference(self, backend):
+    def test_matches_float_reference(self):
         rng = np.random.default_rng(8)
         for c_in, c_out, s in [(4, 8, 8), (1, 3, 5), (32, 64, 9), (65, 10, 6), (128, 16, 5)]:
             xs = rng.choice([-1.0, 1.0], size=(s, s, c_in)).astype(np.float32)
@@ -273,8 +288,31 @@ class TestConvBinary:
                 xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad=1, pad_value=-1.0
             )
             want = sign_values(bn_forward(pre, bn))
-            got = unpack(conv2d_binary(pack(xs), BinConvParams(pack(ws), t), backend=backend))
-            assert np.array_equal(got, want), (c_in, c_out, s, backend)
+            got = unpack(conv2d_binary(pack(xs), BinConvParams(pack(ws), t)))
+            assert np.array_equal(got, want), (c_in, c_out, s)
+
+    @given(
+        st.sampled_from(EDGE_CHANNELS),
+        st.integers(4, 70),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_edge_cases_match_float_reference(self, c_in, c_out, hh, wh, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 2 * hh + 1, 2 * wh + 1
+        xs = rng.choice([-1.0, 1.0], size=(h, w, c_in)).astype(np.float32)
+        ws = rng.choice([-1.0, 1.0], size=(c_out, c_in, 3, 3)).astype(np.float32)
+        # one window equal to channel 0's weights reaches the largest sum, 9*c_in
+        xs[hh - 1 : hh + 2, wh - 1 : wh + 2] = ws[0].transpose(1, 2, 0)
+        bn = edge_bn(rng, c_out, 9 * c_in)
+        t = fold_bn_sign(bn)
+        assert np.any(np.abs(t.tau) > 9 * c_in)
+        pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad=1, pad_value=-1.0)
+        want = sign_values(bn_forward(pre, bn))
+        got = unpack(conv2d_binary(pack(xs), BinConvParams(pack(ws), t)))
+        assert np.array_equal(got, want)
 
     def test_shape_mismatch(self):
         x = pack(np.ones((4, 4, 2), np.float32))
@@ -310,6 +348,27 @@ class TestEncoderForward:
         fp = encoder_forward(img, enc, path="packed")
         fr = encoder_forward(img, enc, path="reference")
         assert fp.shape == (64,)
+        assert np.array_equal(fp, fr)
+
+    @given(
+        st.sampled_from(EDGE_CHANNELS),
+        st.integers(7, 16),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_packed_equals_reference_on_edge_cases(self, c_in, half, image, seed):
+        # c_in is the input width of the binary conv2; conv1 sees 3 channels
+        rng = np.random.default_rng(seed)
+        size = 2 * half + 1
+        enc = random_encoder_params(rng, input_size=size, channels=(c_in, 16), fc1_out=40)
+        for lay, window in zip(enc.layers[:2], (27 * 255, 9 * c_in)):
+            lay.bn = edge_bn(rng, lay.bn.channels, window)
+        shape = (size, size, 3)
+        img = (rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8),
+               np.full(shape, 255, np.uint8))[image]
+        fp = encoder_forward(img, enc, path="packed")
+        fr = encoder_forward(img, enc, path="reference")
         assert np.array_equal(fp, fr)
 
     def test_wrong_input_shape(self):
