@@ -130,8 +130,8 @@ class BinFcParams:
 def conv2d_float(x, p: ConvParams, pad=1, pad_value=0.0):
     """3x3 cross-correlation, channels-last, size-preserving for pad=1.
 
-    Accepts (H, W, C) or (N, H, W, C). pad_value=-1.0 reproduces the binary
-    padding convention on +-1 feature maps.
+    Accepts (H, W, C) or (N, H, W, C). ``conv_pad_value`` gives the
+    pad_value that matches the input.
     """
     single = x.ndim == 3
     if single:
@@ -150,6 +150,11 @@ def conv2d_float(x, p: ConvParams, pad=1, pad_value=0.0):
     out = cols.reshape(n * ho * wo, 9 * c) @ w2
     out = out.reshape(n, ho, wo, -1) + p.bias
     return out[0] if single else out
+
+
+def conv_pad_value(binary_input):
+    """Border value of a 3x3 conv: -1 (a zero bit) around a +-1 map, else 0."""
+    return -1.0 if binary_input else 0.0
 
 
 def fc_float(x, weights, bias=None):
@@ -418,8 +423,7 @@ def encoder_forward(img, enc: EncoderParams, path="packed"):
         wsigns = unpack(lay.weights)
         if lay.kind == "conv":
             p = ConvParams(wsigns, np.zeros(wsigns.shape[0], np.float32))
-            pad_value = 0.0 if i == 0 else -1.0
-            x = conv2d_float(x, p, pad=1, pad_value=pad_value)
+            x = conv2d_float(x, p, pad=1, pad_value=conv_pad_value(i > 0))
         else:
             if spatial:
                 x = x.reshape(-1)
@@ -431,12 +435,15 @@ def encoder_forward(img, enc: EncoderParams, path="packed"):
     return x.astype(np.float32)
 
 
+def nn_index(n, size):
+    """Source index of each of ``size`` nearest-neighbor samples of a length-n axis."""
+    return (np.arange(size) * n) // size
+
+
 def nn_resize(x, size):
-    """Nearest-neighbor resize of an (H, W, C) map to (size, size, C)."""
-    h, w, _ = x.shape
-    iy = (np.arange(size) * h) // size
-    ix = (np.arange(size) * w) // size
-    return x[iy][:, ix]
+    """Nearest-neighbor resize of an (..., H, W, C) map to (..., size, size, C)."""
+    h, w = x.shape[-3:-1]
+    return x[..., nn_index(h, size), :, :][..., nn_index(w, size), :]
 
 
 def logistic(x):

@@ -13,7 +13,7 @@ Three modes share one graph and differ only in which layers binarize:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +31,18 @@ from .layers import (
     DecoderParams,
     EncoderLayer,
     EncoderParams,
+    bn_forward,
+    conv_pad_value,
+    encoder_geometry,
     logistic,
+    nn_index,
+    nn_resize,
     pool_out_size,
 )
 
 MODES = ("full", "binary", "partial")
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9  # running-statistics decay per training batch
 
 SIZE_PRESETS = {
     "paper": (PAPER_INPUT_SIZE, PAPER_CHANNELS, PAPER_FC1_OUT),
@@ -63,8 +70,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -128,6 +133,7 @@ def format_train_config(cfg: TrainConfig):
         f"batch_size = {cfg.batch_size}",
         f"learning_rate = {cfg.learning_rate}",
         f"seed = {cfg.seed}",
+        f"feature_dim = {cfg.feature_dim}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -200,11 +206,11 @@ def _fc_bwd(dout, x, w):
     return dout @ w, dout.T @ x
 
 
-def _bn_fwd(x, gamma, beta, eps):
+def _bn_fwd(x, gamma, beta):
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mu) * inv
     y = gamma * xhat + beta
     return y, (xhat, inv, gamma), (mu, var)
@@ -243,17 +249,11 @@ def _pool_bwd(dout, cache):
     return dx
 
 
-def _resize_fwd(x, size):
-    n, h, wd, c = x.shape
-    iy = (np.arange(size) * h) // size
-    ix = (np.arange(size) * wd) // size
-    return np.ascontiguousarray(x[:, iy][:, :, ix]), (h, wd, iy, ix)
-
-
-def _resize_bwd(dout, cache):
-    h, wd, iy, ix = cache
-    row_starts = np.searchsorted(iy, np.arange(h))
-    col_starts = np.searchsorted(ix, np.arange(wd))
+def _resize_bwd(dout, h, wd):
+    """Adjoint of ``nn_resize``: sum each input pixel's copies."""
+    size = dout.shape[1]
+    row_starts = np.searchsorted(nn_index(h, size), np.arange(h))
+    col_starts = np.searchsorted(nn_index(wd, size), np.arange(wd))
     dx = np.add.reduceat(dout, row_starts, axis=1)
     dx = np.add.reduceat(dx, col_starts, axis=2)
     return np.ascontiguousarray(dx, dtype=dout.dtype)
@@ -271,33 +271,28 @@ class StageSpec:
     out_dim: int
     pool: bool = False
     resize_to: int | None = None  # decoder upsample target
+    pad_value: float = 0.0        # conv border value
 
 
 def _build_stage_specs(cfg: TrainConfig):
-    enc = []
-    s = cfg.input_size
-    c_in = 3
-    spatial = [s]
-    for i, c in enumerate(cfg.channels):
-        enc.append(StageSpec(f"enc_conv{i + 1}", "conv", c_in, c, pool=True))
-        s = pool_out_size(s)
-        spatial.append(s)
-        c_in = c
-    flat = s * s * c_in
-    enc.append(StageSpec("enc_fc1", "fc", flat, cfg.fc1_out))
-    enc.append(StageSpec("enc_fc2", "fc", cfg.fc1_out, cfg.feature_dim))
+    geometry = encoder_geometry(cfg.input_size, cfg.channels, cfg.fc1_out, cfg.feature_dim)
+    enc = [
+        StageSpec("enc_" + name, kind, c_in, c_out, pool,
+                  pad_value=conv_pad_value(i > 0 and cfg.mode != "full"))
+        for i, (name, kind, _s, c_in, c_out, pool) in enumerate(geometry)
+    ]
+    convs = [stage for stage in geometry if stage[1] == "conv"]
+    # each decoder conv mirrors an encoder conv, back to its input size and width
+    names = [f"dec_conv{i + 1}" for i in range(len(convs) - 1)] + ["dec_out"]
+    *dec_convs, out = [
+        StageSpec(name, "conv", c_out, c_in, resize_to=size)
+        for name, (_n, _k, size, c_in, c_out, _p) in zip(names, convs[::-1])
+    ]
     dec = [
         StageSpec("dec_fc1", "fc", cfg.feature_dim, cfg.fc1_out),
-        StageSpec("dec_fc2", "fc", cfg.fc1_out, flat),
-    ]
-    rev_ch = list(cfg.channels[::-1]) + [3]
-    rev_sz = spatial[:-1][::-1]  # resize targets back up the pyramid
-    for i in range(len(cfg.channels) - 1):
-        dec.append(
-            StageSpec(f"dec_conv{i + 1}", "conv", rev_ch[i], rev_ch[i + 1], resize_to=rev_sz[i])
-        )
-    out = StageSpec("dec_out", "conv", rev_ch[-2], 3, resize_to=rev_sz[-1])
-    return enc, dec, out, s
+        StageSpec("dec_fc2", "fc", cfg.fc1_out, enc[-2].in_dim),
+    ] + dec_convs
+    return enc, dec, out, pool_out_size(convs[-1][2])
 
 
 class DcaeNet:
@@ -354,177 +349,114 @@ class DcaeNet:
             return np.where(np.abs(cache) < 1.0, dout, np.float32(0.0))
         return dout * (1.0 - cache * cache)
 
-    def _pad_value(self, spec_index_is_first, prev_binarized):
-        if spec_index_is_first:
-            return 0.0
-        return -1.0 if prev_binarized else 0.0
-
-    # -- training-mode forward/backward --------------------------------------
-
-    def forward_train(self, x01, update_running=True):
-        """x01: (N, S, S, 3) float32 in [0, 1]. Returns (recon, tape)."""
-        cfg = self.cfg
-        tape = []
-        x = np.ascontiguousarray(x01, self.dtype)
-        prev_bin = False
-        spatial = True
-        for i, spec in enumerate(self.enc_specs + self.dec_specs):
-            is_dec = i >= len(self.enc_specs)
-            entry = {"spec": spec}
-            if spec.kind == "conv":
-                if is_dec and not spatial:
-                    x = x.reshape(x.shape[0], self.bottleneck_hw, self.bottleneck_hw, spec.in_dim)
-                    spatial = True
-                    entry["from_flat"] = True
-                if is_dec:
-                    x, entry["resize"] = _resize_fwd(x, spec.resize_to)
-                # -1 padding applies only to binarized encoder maps
-                pv = -1.0 if (not is_dec and i > 0 and prev_bin) else 0.0
-                w = self._w_eff(spec.name)
-                pre, cols = _conv_fwd(x, w, pad_value=pv)
-                entry["cols"] = cols
-                entry["w_eff"] = w
-            else:
-                if spatial:
-                    entry["unflatten"] = x.shape
-                    x = x.reshape(x.shape[0], -1)
-                    spatial = False
-                w = self._w_eff(spec.name)
-                pre, xin = _fc_fwd(x, w)
-                entry["x_in"] = xin
-                entry["w_eff"] = w
-            bn_out, entry["bn"], (mu, var) = _bn_fwd(
-                pre, self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"], cfg.bn_eps
-            )
-            if update_running:
-                m = cfg.bn_momentum
-                self.running[spec.name + "_mu"] = (
-                    m * self.running[spec.name + "_mu"] + (1 - m) * mu
-                ).astype(self.dtype)
-                self.running[spec.name + "_var"] = (
-                    m * self.running[spec.name + "_var"] + (1 - m) * var
-                ).astype(self.dtype)
-            x, entry["act"] = self._act_fwd(spec.name, bn_out)
-            prev_bin = spec.name in self.binarized
-            if spec.pool:
-                x, entry["pool"] = _pool_fwd(x)
-            tape.append(entry)
-        # output stage: resize -> conv + bias -> logistic
-        o = self.out_spec
-        entry = {"spec": o}
-        if not spatial:
-            x = x.reshape(x.shape[0], self.bottleneck_hw, self.bottleneck_hw, o.in_dim)
-            entry["from_flat"] = True
-        x, entry["resize"] = _resize_fwd(x, o.resize_to)
-        w = self._w_eff(o.name)
-        pre, entry["cols"] = _conv_fwd(x, w, bias=self.params[o.name + "_b"], pad_value=0.0)
-        entry["w_eff"] = w
-        recon = logistic(pre)
-        entry["sig"] = recon
-        tape.append(entry)
-        return recon, tape
-
-    def backward(self, tape, drecon):
-        """Gradients for every trainable parameter given d(loss)/d(recon)."""
-        grads = {}
-        entry = tape[-1]
-        o = entry["spec"]
-        s = entry["sig"]
-        dpre = (drecon * s * (1.0 - s)).astype(self.dtype)
-        dx, dw, db = _conv_bwd(dpre, entry["cols"], entry["w_eff"], with_bias=True)
-        grads[o.name + "_w"] = dw
-        grads[o.name + "_b"] = db
-        dx = _resize_bwd(dx, entry["resize"])
-        if entry.get("from_flat"):
-            dx = dx.reshape(dx.shape[0], -1)
-        for entry in reversed(tape[:-1]):
-            spec = entry["spec"]
-            if spec.pool:
-                dx = _pool_bwd(dx, entry["pool"])
-            dz = self._act_bwd(spec.name, dx, entry["act"])
-            dpre, dgamma, dbeta = _bn_bwd(dz, entry["bn"])
-            grads[spec.name + "_gamma"] = dgamma
-            grads[spec.name + "_beta"] = dbeta
-            if spec.kind == "conv":
-                dx, dw, _ = _conv_bwd(dpre, entry["cols"], entry["w_eff"])
-                grads[spec.name + "_w"] = dw
-                if "resize" in entry:
-                    dx = _resize_bwd(dx, entry["resize"])
-                if entry.get("from_flat"):
-                    dx = dx.reshape(dx.shape[0], -1)
-            else:
-                dx, dw = _fc_bwd(dpre, entry["x_in"], entry["w_eff"])
-                grads[spec.name + "_w"] = dw
-                if "unflatten" in entry:
-                    dx = dx.reshape(entry["unflatten"])
-        return grads
-
-    # -- inference-mode forward ----------------------------------------------
-
     def _eval_bn(self, name):
         return BNParams(
             self.params[name + "_gamma"],
             self.params[name + "_beta"],
             self.running[name + "_mu"],
             self.running[name + "_var"],
-            eps=self.cfg.bn_eps,
+            eps=BN_EPS,
         )
+
+    # -- the stage walk -------------------------------------------------------
+
+    def _forward(self, x, specs, tape=None, update_running=False):
+        """Run batch ``x`` through ``specs`` in order; returns the last output.
+
+        With a tape, BN normalizes by batch statistics (folded into the
+        running ones if update_running) and each stage appends what
+        ``backward`` needs; without one, BN uses the running statistics.
+        """
+        for spec in specs:
+            entry = {"spec": spec, "in_shape": x.shape}
+            w = entry["w_eff"] = self._w_eff(spec.name)
+            if spec.kind == "fc":
+                x = x.reshape(len(x), -1)
+                pre, entry["x_in"] = _fc_fwd(x, w)
+            else:
+                if x.ndim == 2:  # leaving the FC stages
+                    x = x.reshape(len(x), self.bottleneck_hw, self.bottleneck_hw, spec.in_dim)
+                if spec.resize_to is not None:
+                    entry["resize"] = x.shape[1:3]
+                    x = nn_resize(x, spec.resize_to)
+                bias = self.params.get(spec.name + "_b")
+                pre, entry["cols"] = _conv_fwd(x, w, bias, spec.pad_value)
+            if spec is self.out_spec:
+                x = entry["sig"] = logistic(pre)
+            else:
+                if tape is None:
+                    z = bn_forward(pre, self._eval_bn(spec.name))
+                else:
+                    gamma, beta = self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"]
+                    z, entry["bn"], stats = _bn_fwd(pre, gamma, beta)
+                    if update_running:
+                        for key, stat in zip(("_mu", "_var"), stats):
+                            r = self.running[spec.name + key]
+                            self.running[spec.name + key] = (
+                                BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat
+                            ).astype(self.dtype)
+                x, entry["act"] = self._act_fwd(spec.name, z)
+                if spec.pool:
+                    x, entry["pool"] = _pool_fwd(x)
+            if tape is not None:
+                tape.append(entry)
+        return x
+
+    def forward_train(self, x01, update_running=True):
+        """x01: (N, S, S, 3) float in [0, 1]. Returns (recon, tape)."""
+        tape = []
+        x = np.ascontiguousarray(x01, self.dtype)
+        recon = self._forward(x, self.enc_specs + self.dec_specs + [self.out_spec], tape, update_running)
+        return recon, tape
+
+    def backward(self, tape, drecon):
+        """Gradients for every trainable parameter given d(loss)/d(recon)."""
+        grads = {}
+        dx = drecon
+        for entry in reversed(tape):
+            spec = entry["spec"]
+            name = spec.name
+            if spec is self.out_spec:
+                s = entry["sig"]
+                dpre = (dx * s * (1.0 - s)).astype(self.dtype)
+            else:
+                if spec.pool:
+                    dx = _pool_bwd(dx, entry["pool"])
+                dz = self._act_bwd(name, dx, entry["act"])
+                dpre, grads[name + "_gamma"], grads[name + "_beta"] = _bn_bwd(dz, entry["bn"])
+            if spec.kind == "fc":
+                dx, grads[name + "_w"] = _fc_bwd(dpre, entry["x_in"], entry["w_eff"])
+            else:
+                with_bias = spec is self.out_spec
+                dx, grads[name + "_w"], db = _conv_bwd(dpre, entry["cols"], entry["w_eff"], with_bias)
+                if with_bias:
+                    grads[name + "_b"] = db
+                if "resize" in entry:
+                    dx = _resize_bwd(dx, *entry["resize"])
+            dx = dx.reshape(entry["in_shape"])
+        return grads
+
+    # -- inference-mode forward ----------------------------------------------
 
     def encode(self, x01):
         """Eval-mode features for (N, S, S, 3) [0,1] inputs: (N, feature_dim)."""
-        from .layers import bn_forward
-
-        x = np.ascontiguousarray(x01, np.float32)
-        prev_bin = False
-        spatial = True
-        for i, spec in enumerate(self.enc_specs):
-            if spec.kind == "conv":
-                pv = 0.0 if i == 0 else (-1.0 if prev_bin else 0.0)
-                x, _ = _conv_fwd(x, self._w_eff(spec.name), pad_value=pv)
-            else:
-                if spatial:
-                    x = x.reshape(x.shape[0], -1)
-                    spatial = False
-                x, _ = _fc_fwd(x, self._w_eff(spec.name))
-            x = bn_forward(x, self._eval_bn(spec.name))
-            x = sign_values(x) if spec.name in self.binarized else np.tanh(x)
-            prev_bin = spec.name in self.binarized
-            if spec.pool:
-                x, _ = _pool_fwd(x)
-        return x.astype(np.float32)
+        return self._forward(np.ascontiguousarray(x01, np.float32), self.enc_specs)
 
     def reconstruct(self, x01):
         """Eval-mode autoencoder output for (N, S, S, 3) [0,1] inputs."""
-        from .layers import bn_forward
-
-        x = self.encode(x01)
-        spatial = False
-        for spec in self.dec_specs:
-            if spec.kind == "conv":
-                if not spatial:
-                    x = x.reshape(x.shape[0], self.bottleneck_hw, self.bottleneck_hw, spec.in_dim)
-                    spatial = True
-                x, _ = _resize_fwd(x, spec.resize_to)
-                x, _ = _conv_fwd(x, self._w_eff(spec.name))
-            else:
-                x, _ = _fc_fwd(x, self._w_eff(spec.name))
-            x = bn_forward(x, self._eval_bn(spec.name))
-            x = sign_values(x) if spec.name in self.binarized else np.tanh(x)
-        o = self.out_spec
-        if not spatial:
-            x = x.reshape(x.shape[0], self.bottleneck_hw, self.bottleneck_hw, o.in_dim)
-        x, _ = _resize_fwd(x, o.resize_to)
-        x, _ = _conv_fwd(x, self._w_eff(o.name), bias=self.params[o.name + "_b"])
-        return logistic(x)
+        return self._forward(self.encode(x01), self.dec_specs + [self.out_spec])
 
     # -- conversion to inference parameter bundles ----------------------------
 
     def encoder_params(self):
         """EncoderParams for the packed/reference integer-pixel pipeline.
 
-        Requires a fully binarized encoder. Conv1's BN statistics are
-        rescaled from the [0,1] training domain into the 8-bit pixel domain
-        (mu*255, sigma2*255^2), which preserves sign(BN(v)) exactly.
+        Requires a fully binarized encoder. Conv1's BN is rescaled from the
+        [0,1] training domain into the 8-bit pixel domain (mu*255,
+        sigma2*255^2, eps*255^2), which preserves sign(BN(v)) in real
+        arithmetic. In float32 a conv1 unit can still flip when its BN input
+        lies within rounding of zero: training sums x/255 in float32, the
+        deployed encoder sums exact integers.
         """
         layers = []
         for i, spec in enumerate(self.enc_specs):
@@ -536,15 +468,13 @@ class DcaeNet:
             w = pack(sign_values(self.params[spec.name + "_w"]))
             mu = self.running[spec.name + "_mu"]
             var = self.running[spec.name + "_var"]
+            eps = BN_EPS
             if i == 0:
                 mu = mu * np.float32(255.0)
                 var = var * np.float32(255.0**2)
+                eps = eps * 255.0**2
             bn = BNParams(
-                self.params[spec.name + "_gamma"],
-                self.params[spec.name + "_beta"],
-                mu,
-                var,
-                eps=self.cfg.bn_eps,
+                self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"], mu, var, eps=eps
             )
             layers.append(EncoderLayer(spec.name, spec.kind, w, bn, spec.pool))
         return EncoderParams(input_size=self.cfg.input_size, layers=layers)
@@ -621,11 +551,6 @@ class Adam:
         return self
 
 
-def optimizer_step(opt: Adam, params, grads):
-    """Single adaptive-moment update; returns the (mutated) optimizer."""
-    return opt.step(params, grads)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -642,8 +567,11 @@ class TrainedDcae:
         return self.net.decoder_params()
 
 
-def _to_unit(images):
+def _to_unit(images, size):
+    """(N, size, size, 3) uint8 or [0,1] float images as float32 in [0, 1]."""
     images = np.asarray(images)
+    if images.ndim != 4 or images.shape[1:] != (size, size, 3):
+        raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {images.shape}")
     if images.dtype == np.uint8:
         return images.astype(np.float32) / np.float32(255.0)
     return np.ascontiguousarray(images, np.float32)
@@ -655,12 +583,10 @@ def train_dcae(train_images, config: TrainConfig, val_images=None, log=None):
     train_images: (N, S, S, 3) uint8 or [0,1] float. Divergence (non-finite
     loss) raises DivergenceError with the epoch index.
     """
-    x = _to_unit(train_images)
-    if x.ndim != 4 or x.shape[0] == 0:
-        raise ValueError("training set must be a non-empty (N, S, S, 3) array")
-    if x.shape[1] != config.input_size:
-        raise ValueError(f"images are {x.shape[1]}px, config expects {config.input_size}px")
-    xv = _to_unit(val_images) if val_images is not None else None
+    x = _to_unit(train_images, config.input_size)
+    if x.shape[0] == 0:
+        raise ValueError("training set must be non-empty")
+    xv = _to_unit(val_images, config.input_size) if val_images is not None else None
     rng = np.random.default_rng(config.seed)
     net = DcaeNet(config, rng)
     clip = tuple(n + "_w" for n in net.binarized)
@@ -706,8 +632,8 @@ def _eval_mse(net, images, bs):
 
 
 def extract_features(net: DcaeNet, images, batch_size=32):
-    """Eval-mode bottleneck features for uint8 or [0,1] images: (N, 64)."""
-    x = _to_unit(images)
+    """Eval-mode bottleneck features for uint8 or [0,1] images: (N, feature_dim)."""
+    x = _to_unit(images, net.cfg.input_size)
     out = []
     for start in range(0, len(x), batch_size):
         out.append(net.encode(x[start : start + batch_size]))

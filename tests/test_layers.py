@@ -353,7 +353,7 @@ class TestEncoderForward:
     @given(
         st.sampled_from(EDGE_CHANNELS),
         st.integers(7, 16),
-        st.integers(0, 2),
+        st.integers(0, 3),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=20, deadline=None)
@@ -365,11 +365,14 @@ class TestEncoderForward:
         for lay, window in zip(enc.layers[:2], (27 * 255, 9 * c_in)):
             lay.bn = edge_bn(rng, lay.bn.channels, window)
         shape = (size, size, 3)
-        img = (rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8),
-               np.full(shape, 255, np.uint8))[image]
+        pixels = (rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8),
+                  np.full(shape, 255, np.uint8))
+        # case 3: the random image again, as float-typed integral pixels
+        img = (*pixels, pixels[0].astype(np.float32))[image]
         fp = encoder_forward(img, enc, path="packed")
         fr = encoder_forward(img, enc, path="reference")
         assert np.array_equal(fp, fr)
+        assert np.array_equal(fp, encoder_forward(pixels[image % 3], enc, path="packed"))
 
     def test_wrong_input_shape(self):
         rng = np.random.default_rng(12)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from bitmotor.layers import PackedEncoder
+from bitmotor import kernels
+from bitmotor.core import sign_values
+from bitmotor.layers import BNParams, ConvParams, PackedEncoder, bn_forward, conv2d_float
 from bitmotor.training import (
+    BN_EPS,
     Adam,
     DcaeNet,
     DivergenceError,
@@ -224,6 +227,20 @@ class TestTrainDcae:
             assert np.array_equal(a.net.params[k], b.net.params[k]), k
         assert a.curve == b.curve
 
+    @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3)])
+    @pytest.mark.parametrize("path", ["train", "val", "extract"])
+    def test_malformed_images_rejected(self, path, shape):
+        bad = np.zeros(shape, np.uint8)
+        good = micro_images(4)
+        cfg = micro_cfg("partial", epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match=r"\(N, 16, 16, 3\)"):
+            if path == "train":
+                train_dcae(bad, cfg)
+            elif path == "val":
+                train_dcae(good, cfg, val_images=bad)
+            else:
+                extract_features(DcaeNet(cfg), bad)
+
     def test_divergence_reports_epoch(self):
         imgs = micro_images(8).astype(np.float32) / 255.0
         imgs[0, 0, 0, 0] = np.nan
@@ -269,6 +286,29 @@ class TestDeployParity:
         for img, feat in zip(probe, want):
             assert np.array_equal(deployed.features(img), feat)
 
+    def test_near_zero_variance_conv1(self):
+        # conv1 running var far below eps, running mean at the data median,
+        # |beta| up to 3: many conv1 units sit where BN's sign turns on eps,
+        # so deploy must rescale eps with mu and var
+        for trial in range(20):
+            rng = np.random.default_rng(trial)
+            net = DcaeNet(micro_cfg("partial"), rng)
+            imgs = rng.integers(0, 256, (16, 16, 16, 3), dtype=np.uint8)
+            w = sign_values(net.params["enc_conv1_w"])
+            pre = conv2d_float(imgs.astype(np.float32) / np.float32(255.0), ConvParams(w, np.zeros(len(w))))
+            net.running["enc_conv1_mu"][:] = np.median(pre, axis=(0, 1, 2))
+            net.running["enc_conv1_var"][:] = 1e-6
+            net.params["enc_conv1_beta"][:] = rng.uniform(-3, 3, len(w))
+            bn = BNParams(net.params["enc_conv1_gamma"], net.params["enc_conv1_beta"],
+                          net.running["enc_conv1_mu"], net.running["enc_conv1_var"], eps=BN_EPS)
+            deployed = PackedEncoder(net.encoder_params())
+            conv1 = [kernels.conv1_forward(img, deployed.conv1_signs, deployed.conv1_tau, deployed.conv1_flip)
+                     for img in imgs]
+            assert np.array_equal(np.stack(conv1), bn_forward(pre, bn) >= 0), trial
+            want = extract_features(net, imgs)
+            for img, feat in zip(imgs, want):
+                assert np.array_equal(deployed.features(img), feat), trial
+
 
 class TestReconstructionConsistency:
     def test_eval_paths_agree(self):
@@ -287,9 +327,9 @@ class TestReconstructionConsistency:
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = TrainConfig.for_size("desk", mode="binary", epochs=7, seed=42)
-        parsed = parse_train_config(format_train_config(cfg))
-        assert parsed == cfg
+        for cfg in (TrainConfig.for_size("desk", mode="binary", epochs=7, seed=42),
+                    TrainConfig.for_size("desk", feature_dim=32)):
+            assert parse_train_config(format_train_config(cfg)) == cfg
 
     def test_paper_preset(self):
         cfg = parse_train_config("size = paper\nmode = partial\n")
