@@ -20,6 +20,10 @@ import numpy as np
 __all__ = [
     "BitTensor",
     "as_dense",
+    "as_float",
+    "nwords",
+    "pack_channel_words",
+    "unpack_channel_words",
     "sign_forward",
     "sign_values",
     "ste_backward",
@@ -42,6 +46,34 @@ else:  # numpy < 2.0
         """Per-element population count of a uint64 array (byte-LUT fallback)."""
         b = np.ascontiguousarray(words).view(np.uint8)
         return _PC8[b].reshape(*words.shape, 8).sum(axis=-1, dtype=np.uint64)
+
+
+def nwords(n):
+    """Number of 64-bit words that hold n bits."""
+    return (int(n) + _WORD_BITS - 1) // _WORD_BITS
+
+
+def pack_channel_words(bits):
+    """(..., C) array of 0/1 -> (..., nw) uint64 words, LSB first, zero tails."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    c = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (nwords(c) * _WORD_BITS,), np.uint8)
+    padded[..., :c] = bits
+    by = np.packbits(padded, axis=-1, bitorder="little")
+    return by.view(np.uint64)
+
+
+def unpack_channel_words(words, c):
+    """(..., nw) uint64 words -> (..., C) array of 0/1 uint8."""
+    by = np.ascontiguousarray(words).view(np.uint8)
+    bits = np.unpackbits(by, axis=-1, bitorder="little")
+    return bits[..., : int(c)]
+
+
+def as_float(x):
+    """``x`` as an array: floating dtypes are kept, any other becomes float32."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float32)
 
 
 def as_dense(data, shape=None):
@@ -77,7 +109,7 @@ class BitTensor:
         for d in shape:
             n *= d
         words = np.ascontiguousarray(words, dtype=np.uint64).ravel()
-        expect = (n + _WORD_BITS - 1) // _WORD_BITS
+        expect = nwords(n)
         if words.size != expect:
             raise ValueError(f"need {expect} words for {n} bits, got {words.size}")
         tail = n & 63
@@ -95,8 +127,7 @@ class BitTensor:
 
     def bits(self):
         """Logical bits as a uint8 array of 0/1, length nbits."""
-        b = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return b[: self.nbits]
+        return unpack_channel_words(self.words, self.nbits)
 
     def reshape(self, shape):
         shape = tuple(int(d) for d in shape)
@@ -126,11 +157,7 @@ class BitTensor:
             n *= int(d)
         if bits.size != n:
             raise ValueError(f"got {bits.size} bits for shape {tuple(shape)}")
-        nwords = (n + _WORD_BITS - 1) // _WORD_BITS
-        padded = np.zeros(nwords * _WORD_BITS, dtype=np.uint8)
-        padded[:n] = bits
-        words = np.packbits(padded, bitorder="little").view(np.uint64)
-        return BitTensor(shape, words)
+        return BitTensor(shape, pack_channel_words(bits))
 
 
 def sign_values(x):
@@ -149,13 +176,14 @@ def ste_backward(x, upstream_grad):
     """Straight-through gradient of the sign node.
 
     Passes the upstream gradient where the pre-binarization activation has
-    |x| < 1 (strictly) and zeroes it elsewhere.
+    |x| < 1 (strictly) and zeroes it elsewhere. A floating gradient keeps
+    its dtype; any other becomes float32.
     """
-    x = np.asarray(x, dtype=np.float32)
-    g = np.asarray(upstream_grad, dtype=np.float32)
+    x = np.asarray(x)
+    g = as_float(upstream_grad)
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {g.shape}")
-    return np.where(np.abs(x) < 1.0, g, np.float32(0.0))
+    return np.where(np.abs(x) < 1.0, g, 0.0)
 
 
 def pack(signs):

@@ -1,15 +1,21 @@
-"""Compute kernels for the packed binarized encoder.
+"""Compute kernels for the packed binarized encoder, and the 3x3 conv column
+layout that every conv in the package shares.
 
-Internal module. Weights are stored as bits (``BitTensor``); this module
-decides how each stage computes on them.
+Weights are stored as bits (``BitTensor``); this module decides how each
+stage computes on them. ``layers.PackedEncoder`` runs these kernels, and the
+tests call them directly against float oracles.
+
+``im2col`` lays out the 3x3 windows of a channels-last map as columns
+ordered (dy, dx, c), and ``weight_matrix`` lays out (O, C, 3, 3) weights as
+the matching (9*C, O) matrix, so a conv is one matrix product. The float
+convs in ``layers`` and the trainer use the same two functions.
 
 Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1. A
-binary conv pads the map with -1, lays out the 3x3 windows as rows of an
-im2col matrix of +-1.0 float32 values, and multiplies it by the ``(9*C, O)``
-+-1.0 weight matrix in one sgemm. The first conv runs the same im2col +
-sgemm on the raw 8-bit pixels with zero padding. Each output channel then
-fires where ``(pre >= tau) != flip``, with ``(tau, flip)`` the BN->sign
-threshold folded in ``layers.fold_bn_sign``.
+binary conv maps the input to +-1.0 float32 values, pads it with -1, and
+multiplies its columns by the +-1.0 weight matrix in one sgemm. The first
+conv runs the same im2col + sgemm on the raw 8-bit pixels with zero padding.
+Each output channel then fires where ``(pre >= tau) != flip``, with
+``(tau, flip)`` the BN->sign threshold folded in ``layers.fold_bn_sign``.
 
 The sgemm is exact. Every product is an integer and every partial sum is an
 integer of magnitude below 2**24, which float32 represents exactly, so no
@@ -35,45 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BitTensor, popcount
+from .core import nwords, pack_channel_words, popcount
+from .core import unpack_channel_words  # noqa: F401  (decodes feature words for callers)
 
 # ---------------------------------------------------------------------------
 # layout conversions
 # ---------------------------------------------------------------------------
-
-
-def nwords(c):
-    return (int(c) + 63) // 64
-
-
-def pack_channel_words(bits):
-    """(..., C) array of 0/1 -> (..., nw) uint64 words, LSB first, zero tails."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    c = bits.shape[-1]
-    nw = nwords(c)
-    padded = np.zeros(bits.shape[:-1] + (nw * 64,), np.uint8)
-    padded[..., :c] = bits
-    by = np.packbits(padded, axis=-1, bitorder="little")
-    return by.view(np.uint64)
-
-
-def unpack_channel_words(words, c):
-    """(..., nw) uint64 words -> (..., C) array of 0/1 uint8."""
-    by = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(by, axis=-1, bitorder="little")
-    return bits[..., : int(c)]
-
-
-def bool_from_bittensor(bt):
-    """BitTensor (H, W, C) -> (H, W, C) bool map, True for +1."""
-    if len(bt.shape) != 3:
-        raise ValueError(f"expected (H, W, C) BitTensor, got {bt.shape}")
-    return bt.bits().view(np.bool_).reshape(bt.shape)
-
-
-def bittensor_from_bool(x):
-    """(H, W, C) bool map -> BitTensor of the same shape."""
-    return BitTensor.from_bits(x, x.shape)
 
 
 def flat_words(x, c):
@@ -106,11 +79,38 @@ def match_thresholds(tau, flip, n, tail_const):
 # ---------------------------------------------------------------------------
 
 
-def _weight_matrix(wsigns):
-    """(O, C, 3, 3) weights -> (9*C, O) float32, rows ordered (dy, dx, c)."""
-    o_ch, cin = wsigns.shape[:2]
-    w = np.asarray(wsigns, dtype=np.float32).transpose(2, 3, 1, 0)
-    return np.ascontiguousarray(w.reshape(9 * cin, o_ch))
+def im2col(x, pad_value):
+    """(..., H, W, C) map -> (..., H, W, 9*C) columns of its 3x3 windows.
+
+    Each pixel's column holds its window in (dy, dx, c) order, the row order
+    of ``weight_matrix``; the border is ``pad_value``. The columns keep the
+    dtype of ``x``.
+    """
+    h, wd, cin = x.shape[-3:]
+    lead = x.shape[:-3]
+    # two passes, horizontal taps then vertical, so each copy moves runs of
+    # 3*C values; that is faster than nine copies of C when C is small. The
+    # horizontal pass reads x itself and writes the border, so no padded copy
+    # of x is made. Tap dx of output column j reads input column j + dx - 1.
+    rows = np.empty(lead + (h + 2, wd, 3, cin), x.dtype)
+    rows[..., 0, :, :, :] = pad_value
+    rows[..., -1, :, :, :] = pad_value
+    rows[..., 1:-1, :, 1, :] = x
+    rows[..., 1:-1, 1:, 0, :] = x[..., :-1, :]
+    rows[..., 1:-1, 0, 0, :] = pad_value
+    rows[..., 1:-1, :-1, 2, :] = x[..., 1:, :]
+    rows[..., 1:-1, -1, 2, :] = pad_value
+    rows = rows.reshape(lead + (h + 2, wd, 3 * cin))
+    cols = np.empty(lead + (h, wd, 3, 3 * cin), x.dtype)
+    for dy in range(3):
+        cols[..., dy, :] = rows[..., dy : dy + h, :, :]
+    return cols.reshape(lead + (h, wd, 9 * cin))
+
+
+def weight_matrix(w):
+    """(O, C, 3, 3) weights -> (9*C, O) matrix, rows ordered (dy, dx, c)."""
+    o_ch, cin = w.shape[:2]
+    return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(9 * cin, o_ch))
 
 
 def _float_thresholds(tau, bound):
@@ -123,20 +123,10 @@ def _float_thresholds(tau, bound):
     return tau.astype(np.float32)
 
 
-def _conv_fire(xp, ww, tau, flip):
-    """Padded (H+2, W+2, C) float32 map -> (H, W, O) bool map of fired units."""
-    hp, wp, cin = xp.shape
-    h, wd = hp - 2, wp - 2
-    # im2col in two passes, horizontal taps then vertical, so each copy moves
-    # runs of 3*C floats; that is faster than nine copies of C when C is small
-    rows = np.empty((hp, wd, 3, cin), np.float32)
-    for dx in range(3):
-        rows[:, :, dx] = xp[:, dx : dx + wd]
-    rows = rows.reshape(hp, wd, 3 * cin)
-    cols = np.empty((h, wd, 3, 3 * cin), np.float32)
-    for dy in range(3):
-        cols[:, :, dy] = rows[dy : dy + h]
-    pre = cols.reshape(h * wd, 9 * cin) @ ww
+def _conv_fire(x, pad_value, ww, tau, flip):
+    """(H, W, C) float32 map -> (H, W, O) bool map of fired units."""
+    h, wd, _ = x.shape
+    pre = im2col(x, pad_value).reshape(h * wd, -1) @ ww
     return ((pre >= tau) != flip).reshape(h, wd, -1)
 
 
@@ -147,11 +137,9 @@ def conv1_forward(pixels, wsigns, tau, flip):
     tau/flip: per-channel thresholds in the integer pre-activation domain.
     Returns the (H, W, O) bool map of the binarized output.
     """
-    h, wd, cin = pixels.shape
-    xp = np.zeros((h + 2, wd + 2, cin), np.float32)
-    xp[1:-1, 1:-1] = pixels
-    tau = _float_thresholds(tau, 9 * cin * 255)
-    return _conv_fire(xp, _weight_matrix(wsigns), tau, np.asarray(flip, np.bool_))
+    ww = weight_matrix(np.asarray(wsigns, np.float32))
+    tau = _float_thresholds(tau, 9 * pixels.shape[-1] * 255)
+    return _conv_fire(pixels.astype(np.float32), 0.0, ww, tau, np.asarray(flip, np.bool_))
 
 
 class BinConvKernel:
@@ -163,18 +151,18 @@ class BinConvKernel:
             raise ValueError("binary conv kernels are 3x3")
         self.out_channels = o_ch
         self.in_channels = cin
-        self.ww = _weight_matrix(wsigns)
+        self.ww = weight_matrix(np.asarray(wsigns, np.float32))
         self.tau = _float_thresholds(tau, 9 * cin)
         self.flip = np.ascontiguousarray(flip, dtype=np.bool_)
 
     def __call__(self, x):
         """x: (H, W, C) bool map -> (H, W, O) bool map."""
-        h, wd, _ = x.shape
-        xp = np.zeros((h + 2, wd + 2, self.in_channels), np.float32)
-        xp[1:-1, 1:-1] = x
-        xp *= 2.0
-        xp -= 1.0
-        return _conv_fire(xp, self.ww, self.tau, self.flip)
+        if x.ndim != 3 or x.shape[2] != self.in_channels:
+            raise ValueError(f"expected an (H, W, {self.in_channels}) map, got {x.shape}")
+        xs = x.astype(np.float32)
+        xs *= 2.0
+        xs -= 1.0
+        return _conv_fire(xs, -1.0, self.ww, self.tau, self.flip)
 
 
 def pool_or(x):
@@ -208,7 +196,12 @@ class BinFcKernel:
 
     def __call__(self, xv):
         """xv: (nw,) input words -> (nwo,) output words."""
-        x = np.bitwise_xor(self.wv, np.asarray(xv, dtype=np.uint64)[None, :])
+        xv = np.asarray(xv, dtype=np.uint64)
+        if xv.shape != (self.wv.shape[1],):
+            raise ValueError(
+                f"expected {self.wv.shape[1]} words for {self.in_features} inputs, got {xv.shape}"
+            )
+        x = np.bitwise_xor(self.wv, xv[None, :])
         np.bitwise_not(x, out=x)
         counts = popcount(x).sum(axis=1, dtype=np.int64)
         fire = (counts >= self.taum) != self.flip

@@ -1,6 +1,6 @@
-"""Forward kernels for the hourglass network: float and binarized convolution,
-max pooling, fully-connected layers, batch normalization, BN->threshold
-folding, and the composite encoder/decoder forwards.
+"""Forward ops for the hourglass network: float convolution, max pooling,
+fully-connected layers, batch normalization, BN->threshold folding, and the
+composite encoder/decoder forwards, packed (over ``kernels``) and reference.
 
 Feature maps are channels-last: (H, W, C) or batched (N, H, W, C). Flattening
 between the last conv stage and the first FC stage is the row-major ravel of
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import BitTensor, pack, sign_values, unpack
+from .core import BitTensor, as_float, pack, sign_values, unpack
 
 PAPER_INPUT_SIZE = 142
 PAPER_CHANNELS = (32, 64, 128, 256)
@@ -78,78 +78,22 @@ class ThresholdParams:
         self.flip = np.ascontiguousarray(self.flip, dtype=np.bool_)
 
 
-@dataclass
-class BinConvParams:
-    weights: BitTensor  # (O, C, 3, 3)
-    thresholds: ThresholdParams
-
-    def __post_init__(self):
-        if len(self.weights.shape) != 4 or self.weights.shape[2:] != (3, 3):
-            raise ValueError(f"binary conv weights must be (O, C, 3, 3), got {self.weights.shape}")
-        self._kernel = None
-
-    @property
-    def out_channels(self):
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self):
-        return self.weights.shape[1]
-
-    def kernel(self):
-        if self._kernel is None:
-            wsigns = unpack(self.weights)
-            self._kernel = kernels.BinConvKernel(
-                wsigns, self.thresholds.tau, self.thresholds.flip
-            )
-        return self._kernel
-
-
-@dataclass
-class BinFcParams:
-    weights: BitTensor  # (O, I)
-    thresholds: ThresholdParams
-
-    def __post_init__(self):
-        if len(self.weights.shape) != 2:
-            raise ValueError(f"binary fc weights must be (O, I), got {self.weights.shape}")
-        self._kernel = None
-
-    def kernel(self):
-        if self._kernel is None:
-            self._kernel = kernels.BinFcKernel(
-                unpack(self.weights), self.thresholds.tau, self.thresholds.flip
-            )
-        return self._kernel
-
-
 # ---------------------------------------------------------------------------
 # float kernels
 # ---------------------------------------------------------------------------
 
-def conv2d_float(x, p: ConvParams, pad=1, pad_value=0.0):
-    """3x3 cross-correlation, channels-last, size-preserving for pad=1.
+def conv2d_float(x, p: ConvParams, pad_value=0.0):
+    """Size-preserving 3x3 cross-correlation, channels-last, float32.
 
     Accepts (H, W, C) or (N, H, W, C). ``conv_pad_value`` gives the
     pad_value that matches the input.
     """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    n, h, w, c = x.shape
+    x = np.asarray(x, dtype=np.float32)
+    c = x.shape[-1]
     if c != p.weights.shape[1]:
         raise ValueError(f"input has {c} channels, weights expect {p.weights.shape[1]}")
-    xp = np.full((n, h + 2 * pad, w + 2 * pad, c), np.float32(pad_value), np.float32)
-    xp[:, pad : pad + h, pad : pad + w] = x
-    ho, wo = h + 2 * pad - 2, w + 2 * pad - 2
-    cols = np.empty((n, ho, wo, 3, 3, c), np.float32)
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, :, :, dy, dx, :] = xp[:, dy : dy + ho, dx : dx + wo, :]
-    w2 = p.weights.transpose(2, 3, 1, 0).reshape(9 * c, -1)
-    out = cols.reshape(n * ho * wo, 9 * c) @ w2
-    out = out.reshape(n, ho, wo, -1) + p.bias
-    return out[0] if single else out
+    out = kernels.im2col(x, pad_value).reshape(-1, 9 * c) @ kernels.weight_matrix(p.weights)
+    return out.reshape(*x.shape[:-1], -1) + p.bias
 
 
 def conv_pad_value(binary_input):
@@ -169,39 +113,25 @@ def fc_float(x, weights, bias=None):
     return out
 
 
-def maxpool(x, kernel=3, stride=2):
-    """Max pool, kernel 3 stride 2 (the only Table-consistent geometry).
+def maxpool(x):
+    """3x3 stride-2 max pool (the only Table-consistent geometry).
 
-    Float arrays (channels-last, optionally batched) take the max; BitTensor
-    maps take the OR of the window, which is max over +-1.
+    Channels-last float maps, optionally batched.
     """
-    if kernel != 3 or stride != 2:
-        raise ValueError("pool geometry is fixed at kernel=3, stride=2")
-    if isinstance(x, BitTensor):
-        return kernels.bittensor_from_bool(kernels.pool_or(kernels.bool_from_bittensor(x)))
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    n, h, w, c = x.shape
-    if h < kernel or w < kernel:
-        raise ValueError(f"pool input {h}x{w} smaller than kernel {kernel}")
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
-    out = np.full((n, ho, wo, c), -np.inf, np.float32)
+    *lead, h, w, c = x.shape
+    ho, wo = pool_out_size(h), pool_out_size(w)
+    out = np.full((*lead, ho, wo, c), -np.inf, np.float32)
     for dy in range(3):
         for dx in range(3):
-            np.maximum(
-                out,
-                x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :],
-                out=out,
-            )
-    return out[0] if single else out
+            np.maximum(out, x[..., dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :], out=out)
+    return out
 
 
-def pool_out_size(n, kernel=3, stride=2):
-    if n < kernel:
-        raise ValueError(f"pool input {n} smaller than kernel {kernel}")
-    return (n - kernel) // stride + 1
+def pool_out_size(n):
+    """Output length of the 3x3 stride-2 pool over an axis of length n."""
+    if n < 3:
+        raise ValueError(f"pool input {n} smaller than kernel 3")
+    return (n - 3) // 2 + 1
 
 
 def bn_scale(p: BNParams):
@@ -254,31 +184,6 @@ def threshold_apply(v, t: ThresholdParams):
     v = np.asarray(v)
     fire = (v >= t.tau) != t.flip
     return np.where(fire, np.float32(1.0), np.float32(-1.0))
-
-
-# ---------------------------------------------------------------------------
-# public binary ops
-# ---------------------------------------------------------------------------
-
-def conv2d_binary(x: BitTensor, p: BinConvParams):
-    """Binarized conv: exact +-1 sum over the 3x3 window, threshold to +-1.
-
-    x is an (H, W, C) BitTensor; padding is -1 (zero bits); spatial size is
-    preserved. Returns the (H, W, O) BitTensor of thresholded outputs.
-    """
-    if len(x.shape) != 3:
-        raise ValueError(f"expected (H, W, C) input, got {x.shape}")
-    if x.shape[2] != p.in_channels:
-        raise ValueError(f"input has {x.shape[2]} channels, weights expect {p.in_channels}")
-    return kernels.bittensor_from_bool(p.kernel()(kernels.bool_from_bittensor(x)))
-
-
-def fc_binary(x: BitTensor, p: BinFcParams):
-    """Binarized fully-connected layer: per-neuron XNOR-popcount + threshold."""
-    n_in = p.weights.shape[1]
-    if x.nbits != n_in:
-        raise ValueError(f"input length {x.nbits} != weight in-dim {n_in}")
-    return BitTensor((p.weights.shape[0],), p.kernel()(x.words))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +328,7 @@ def encoder_forward(img, enc: EncoderParams, path="packed"):
         wsigns = unpack(lay.weights)
         if lay.kind == "conv":
             p = ConvParams(wsigns, np.zeros(wsigns.shape[0], np.float32))
-            x = conv2d_float(x, p, pad=1, pad_value=conv_pad_value(i > 0))
+            x = conv2d_float(x, p, pad_value=conv_pad_value(i > 0))
         else:
             if spatial:
                 x = x.reshape(-1)
@@ -448,9 +353,7 @@ def nn_resize(x, size):
 
 def logistic(x):
     """Numerically stable 1 / (1 + exp(-x)); floating inputs keep their dtype."""
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float32)
+    x = as_float(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -483,14 +386,14 @@ def decoder_forward(feat, dec: DecoderParams):
                 x = x.reshape(dec.bottleneck_hw, dec.bottleneck_hw, c)
                 spatial = True
             x = nn_resize(x, lay.resize_to)
-            x = conv2d_float(x, ConvParams(w, np.zeros(w.shape[0], np.float32)), pad=1)
+            x = conv2d_float(x, ConvParams(w, np.zeros(w.shape[0], np.float32)))
         x = bn_forward(x, lay.bn)
         x = sign_values(x) if lay.binarized else np.tanh(x)
     if not spatial:
         c = dec.out_weights.shape[1]
         x = x.reshape(dec.bottleneck_hw, dec.bottleneck_hw, c)
     x = nn_resize(x, dec.out_resize_to)
-    x = conv2d_float(x, ConvParams(dec.out_weights, dec.out_bias), pad=1)
+    x = conv2d_float(x, ConvParams(dec.out_weights, dec.out_bias))
     return logistic(x)
 
 

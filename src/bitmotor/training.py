@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import pack, sign_values
+from .core import pack, sign_values, ste_backward
+from .kernels import im2col, weight_matrix
 from .layers import (
     DESK_CHANNELS,
     DESK_FC1_OUT,
@@ -31,7 +32,6 @@ from .layers import (
     DecoderParams,
     EncoderLayer,
     EncoderParams,
-    bn_forward,
     conv_pad_value,
     encoder_geometry,
     logistic,
@@ -166,15 +166,8 @@ def dcae_loss(img, recon):
 
 def _conv_fwd(x, w, bias=None, pad_value=0.0):
     n, h, wd, c = x.shape
-    dt = x.dtype
-    xp = np.full((n, h + 2, wd + 2, c), pad_value, dt)
-    xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((n, h, wd, 3, 3, c), dt)
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, :, :, dy, dx, :] = xp[:, dy : dy + h, dx : dx + wd, :]
-    w2 = w.transpose(2, 3, 1, 0).reshape(9 * c, -1)
-    out = (cols.reshape(-1, 9 * c) @ w2).reshape(n, h, wd, -1)
+    cols = im2col(x, pad_value)
+    out = (cols.reshape(-1, 9 * c) @ weight_matrix(w)).reshape(n, h, wd, -1)
     if bias is not None:
         out = out + bias
     return out, cols
@@ -182,13 +175,12 @@ def _conv_fwd(x, w, bias=None, pad_value=0.0):
 
 def _conv_bwd(dout, cols, w, with_bias=False):
     n, h, wd, o = dout.shape
-    c = cols.shape[-1]
+    c = w.shape[1]
     dflat = dout.reshape(-1, o)
     cflat = cols.reshape(-1, 9 * c)
     dw2 = cflat.T @ dflat  # (9C, O)
     dw = dw2.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
-    w2 = w.transpose(2, 3, 1, 0).reshape(9 * c, o)
-    dcols = (dflat @ w2.T).reshape(n, h, wd, 3, 3, c)
+    dcols = (dflat @ weight_matrix(w).T).reshape(n, h, wd, 3, 3, c)
     dxp = np.zeros((n, h + 2, wd + 2, c), dcols.dtype)
     for dy in range(3):
         for dx in range(3):
@@ -346,7 +338,7 @@ class DcaeNet:
 
     def _act_bwd(self, name, dout, cache):
         if name in self.binarized:
-            return np.where(np.abs(cache) < 1.0, dout, np.float32(0.0))
+            return ste_backward(cache, dout)
         return dout * (1.0 - cache * cache)
 
     def _eval_bn(self, name):
@@ -357,6 +349,15 @@ class DcaeNet:
             self.running[name + "_var"],
             eps=BN_EPS,
         )
+
+    def _running_bn(self, name, x):
+        """Inference BN on the running statistics, in the net's dtype.
+
+        The expression is ``layers.bn_forward``'s, so on a float32 net the two
+        agree to the bit; ``bn_forward`` itself always computes in float32.
+        """
+        k = self.params[name + "_gamma"] / np.sqrt(self.running[name + "_var"] + BN_EPS)
+        return (x - self.running[name + "_mu"]) * k + self.params[name + "_beta"]
 
     # -- the stage walk -------------------------------------------------------
 
@@ -385,7 +386,7 @@ class DcaeNet:
                 x = entry["sig"] = logistic(pre)
             else:
                 if tape is None:
-                    z = bn_forward(pre, self._eval_bn(spec.name))
+                    z = self._running_bn(spec.name, pre)
                 else:
                     gamma, beta = self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"]
                     z, entry["bn"], stats = _bn_fwd(pre, gamma, beta)
@@ -440,7 +441,7 @@ class DcaeNet:
 
     def encode(self, x01):
         """Eval-mode features for (N, S, S, 3) [0,1] inputs: (N, feature_dim)."""
-        return self._forward(np.ascontiguousarray(x01, np.float32), self.enc_specs)
+        return self._forward(np.ascontiguousarray(x01, self.dtype), self.enc_specs)
 
     def reconstruct(self, x01):
         """Eval-mode autoencoder output for (N, S, S, 3) [0,1] inputs."""
@@ -568,12 +569,21 @@ class TrainedDcae:
 
 
 def _to_unit(images, size):
-    """(N, size, size, 3) uint8 or [0,1] float images as float32 in [0, 1]."""
+    """(N, size, size, 3) uint8 or [0,1] float images as float32 in [0, 1].
+
+    Non-uint8 values outside [0, 1] are rejected; NaN passes, so training
+    reports it as divergence.
+    """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1:] != (size, size, 3):
         raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {images.shape}")
     if images.dtype == np.uint8:
         return images.astype(np.float32) / np.float32(255.0)
+    if np.any(images < 0) | np.any(images > 1):
+        raise ValueError(
+            f"non-uint8 images must lie in [0, 1], got values in "
+            f"[{np.nanmin(images)}, {np.nanmax(images)}]"
+        )
     return np.ascontiguousarray(images, np.float32)
 
 

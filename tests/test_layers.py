@@ -3,23 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitmotor.core import pack, sign_values, unpack
+from bitmotor import kernels
+from bitmotor.core import BitTensor, pack, sign_values, unpack
 from bitmotor.layers import (
-    BinConvParams,
-    BinFcParams,
     BNParams,
     ConvParams,
     DecoderLayer,
     DecoderParams,
-    EncoderParams,
     ThresholdParams,
     bn_forward,
-    conv2d_binary,
     conv2d_float,
     decoder_forward,
     encoder_forward,
     encoder_geometry,
-    fc_binary,
     fc_float,
     fold_bn_sign,
     maxpool,
@@ -28,6 +24,22 @@ from bitmotor.layers import (
     random_encoder_params,
     threshold_apply,
 )
+
+
+def signs(fired):
+    """Bool map of a packed kernel (True for +1) -> +-1.0 values."""
+    return np.where(fired, np.float32(1.0), np.float32(-1.0))
+
+
+def run_conv(xs, ws, t):
+    """BinConvKernel with folded thresholds ``t`` on a +-1 map; +-1 out."""
+    return signs(kernels.BinConvKernel(ws, t.tau, t.flip)(xs > 0))
+
+
+def run_fc(xv, wv, t):
+    """BinFcKernel with folded thresholds ``t`` on a +-1 vector; +-1 out."""
+    k = kernels.BinFcKernel(wv, t.tau, t.flip)
+    return unpack(BitTensor((k.out_features,), k(pack(xv).words)))
 
 
 def naive_conv(x, w, b, pad=1, pad_value=0.0):
@@ -110,7 +122,7 @@ class TestConvFloat:
         rng = np.random.default_rng(2)
         x = rng.choice([-1.0, 1.0], size=(6, 6, 3)).astype(np.float32)
         w = rng.choice([-1.0, 1.0], size=(4, 3, 3, 3)).astype(np.float32)
-        got = conv2d_float(x, ConvParams(w, np.zeros(4, np.float32)), pad=1, pad_value=-1.0)
+        got = conv2d_float(x, ConvParams(w, np.zeros(4, np.float32)), pad_value=-1.0)
         want = naive_conv(x, w, np.zeros(4), pad=1, pad_value=-1.0)
         assert np.allclose(got, want, atol=1e-5)
 
@@ -138,13 +150,13 @@ class TestMaxPool:
     def test_binary_window_with_any_plus_one(self):
         x = -np.ones((5, 5, 1), np.float32)
         x[2, 2, 0] = 1.0
-        out = maxpool(pack(x))
-        assert np.all(unpack(out)[:, :, 0] == 1.0)
+        out = signs(kernels.pool_or(x > 0))
+        assert np.all(out[:, :, 0] == 1.0)
 
     def test_binary_matches_float(self):
         rng = np.random.default_rng(3)
         x = rng.choice([-1.0, 1.0], size=(11, 9, 5)).astype(np.float32)
-        assert np.array_equal(unpack(maxpool(pack(x))), maxpool(x))
+        assert np.array_equal(signs(kernels.pool_or(x > 0)), maxpool(x))
 
     def test_too_small_input(self):
         with pytest.raises(ValueError):
@@ -158,11 +170,11 @@ class TestFc:
 
     def test_binary_all_ones(self):
         n = 12544
-        x = pack(np.ones(n, np.float32))
-        w = pack(np.ones((16, n), np.float32))
+        x = np.ones(n, np.float32)
+        w = np.ones((16, n), np.float32)
         t = ThresholdParams(np.zeros(16, np.int32), np.zeros(16, np.bool_))
-        out = fc_binary(x, BinFcParams(w, t))
-        assert np.all(unpack(out) == 1.0)  # pre-activation 12544 >= 0
+        out = run_fc(x, w, t)
+        assert np.all(out == 1.0)  # pre-activation 12544 >= 0
 
     def test_binary_matches_matvec_oracle(self):
         rng = np.random.default_rng(4)
@@ -175,10 +187,13 @@ class TestFc:
             flip = rng.integers(0, 2, n_out).astype(bool)
             dots = (wv.astype(np.int64) @ xv.astype(np.int64))
             want = np.where((dots >= tau) != flip, 1.0, -1.0)
-            got = unpack(
-                fc_binary(pack(xv), BinFcParams(pack(wv), ThresholdParams(tau, flip)))
-            )
+            got = run_fc(xv, wv, ThresholdParams(tau, flip))
             assert np.array_equal(got, want)
+
+    def test_binary_input_length_mismatch(self):
+        t = ThresholdParams(np.zeros(2, np.int32), np.zeros(2, bool))
+        with pytest.raises(ValueError):  # one input word where 65 inputs need two
+            run_fc(np.ones(64, np.float32), np.ones((2, 65), np.float32), t)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -260,21 +275,17 @@ class TestFoldBnSign:
 
 
 class TestConvBinary:
-    def _params(self, wsigns, tau, flip=None):
-        o = wsigns.shape[0]
-        flip = np.zeros(o, bool) if flip is None else flip
-        return BinConvParams(pack(wsigns), ThresholdParams(np.asarray(tau, np.int32), flip))
+    def _thresholds(self, tau):
+        return ThresholdParams(np.asarray(tau, np.int32), np.zeros(len(tau), bool))
 
     def test_all_ones_interior(self):
-        x = pack(np.ones((5, 5, 1), np.float32))
-        p = self._params(np.ones((1, 1, 3, 3), np.float32), [0])
-        out = unpack(conv2d_binary(x, p))
+        x = np.ones((5, 5, 1), np.float32)
+        out = run_conv(x, np.ones((1, 1, 3, 3), np.float32), self._thresholds([0]))
         assert out[2, 2, 0] == 1.0  # pre-activation 9 >= 0
 
     def test_threshold_ten_rejects_nine(self):
-        x = pack(np.ones((5, 5, 1), np.float32))
-        p = self._params(np.ones((1, 1, 3, 3), np.float32), [10])
-        out = unpack(conv2d_binary(x, p))
+        x = np.ones((5, 5, 1), np.float32)
+        out = run_conv(x, np.ones((1, 1, 3, 3), np.float32), self._thresholds([10]))
         assert np.all(out == -1.0)  # 9 < 10 everywhere
 
     def test_matches_float_reference(self):
@@ -284,11 +295,9 @@ class TestConvBinary:
             ws = rng.choice([-1.0, 1.0], size=(c_out, c_in, 3, 3)).astype(np.float32)
             bn = random_bn(rng, c_out, scale=np.sqrt(9 * c_in))
             t = fold_bn_sign(bn)
-            pre = conv2d_float(
-                xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad=1, pad_value=-1.0
-            )
+            pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad_value=-1.0)
             want = sign_values(bn_forward(pre, bn))
-            got = unpack(conv2d_binary(pack(xs), BinConvParams(pack(ws), t)))
+            got = run_conv(xs, ws, t)
             assert np.array_equal(got, want), (c_in, c_out, s)
 
     @given(
@@ -309,16 +318,15 @@ class TestConvBinary:
         bn = edge_bn(rng, c_out, 9 * c_in)
         t = fold_bn_sign(bn)
         assert np.any(np.abs(t.tau) > 9 * c_in)
-        pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad=1, pad_value=-1.0)
+        pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad_value=-1.0)
         want = sign_values(bn_forward(pre, bn))
-        got = unpack(conv2d_binary(pack(xs), BinConvParams(pack(ws), t)))
+        got = run_conv(xs, ws, t)
         assert np.array_equal(got, want)
 
     def test_shape_mismatch(self):
-        x = pack(np.ones((4, 4, 2), np.float32))
-        p = self._params(np.ones((1, 3, 3, 3), np.float32), [0])
+        x = np.ones((4, 4, 2), np.float32)
         with pytest.raises(ValueError):
-            conv2d_binary(x, p)
+            run_conv(x, np.ones((1, 3, 3, 3), np.float32), self._thresholds([0]))
 
 
 class TestEncoderForward:

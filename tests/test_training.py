@@ -158,6 +158,15 @@ class TestGradients:
         assert np.array_equal(out != 0, mask)
 
 
+class TestFloat64Eval:
+    @pytest.mark.parametrize("mode", ["full", "partial"])
+    def test_encode_and_reconstruct_keep_float64(self, mode):
+        net = DcaeNet(micro_cfg(mode), dtype=np.float64)
+        x01 = micro_images(3).astype(np.float32) / 255.0
+        assert net.encode(x01).dtype == np.float64
+        assert net.reconstruct(x01).dtype == np.float64
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.ones((3, 3), np.float32)}
@@ -227,13 +236,18 @@ class TestTrainDcae:
             assert np.array_equal(a.net.params[k], b.net.params[k]), k
         assert a.curve == b.curve
 
-    @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3)])
+    @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3), "float255"])
     @pytest.mark.parametrize("path", ["train", "val", "extract"])
     def test_malformed_images_rejected(self, path, shape):
-        bad = np.zeros(shape, np.uint8)
+        if shape == "float255":  # well-shaped, but float pixels in 0..255
+            bad = micro_images(4).astype(np.float32)
+            match = r"\[0, 1\], got values in \[4\.0, 248\.0\]"
+        else:
+            bad = np.zeros(shape, np.uint8)
+            match = r"\(N, 16, 16, 3\)"
         good = micro_images(4)
         cfg = micro_cfg("partial", epochs=1, batch_size=4)
-        with pytest.raises(ValueError, match=r"\(N, 16, 16, 3\)"):
+        with pytest.raises(ValueError, match=match):
             if path == "train":
                 train_dcae(bad, cfg)
             elif path == "val":
