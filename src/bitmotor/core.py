@@ -1,5 +1,5 @@
 """Bit-level primitives: sign binarization, straight-through gradients,
-{+1,-1} <-> packed-bit conversion, and the XNOR-popcount dot product.
+{+1,-1} <-> packed-bit conversion, and popcount.
 
 Encoding convention used everywhere in this package:
 
@@ -19,17 +19,14 @@ import numpy as np
 
 __all__ = [
     "BitTensor",
-    "as_dense",
     "as_float",
     "nwords",
     "pack_channel_words",
     "unpack_channel_words",
-    "sign_forward",
     "sign_values",
     "ste_backward",
     "pack",
     "unpack",
-    "xnor_popcount_dot",
     "popcount",
 ]
 
@@ -76,21 +73,6 @@ def as_float(x):
     return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float32)
 
 
-def as_dense(data, shape=None):
-    """Validate and return a float32 row-major array.
-
-    Rejects NaN/Inf at construction so downstream sign/compare logic stays
-    total. This is the construction point for dense tensors; internally the
-    package just passes numpy arrays around.
-    """
-    x = np.ascontiguousarray(data, dtype=np.float32)
-    if shape is not None:
-        x = x.reshape(shape)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("dense tensor must be finite (got NaN or Inf)")
-    return x
-
-
 class BitTensor:
     """Shape-tagged bit-packed array of {+1,-1} values.
 
@@ -129,22 +111,6 @@ class BitTensor:
         """Logical bits as a uint8 array of 0/1, length nbits."""
         return unpack_channel_words(self.words, self.nbits)
 
-    def reshape(self, shape):
-        shape = tuple(int(d) for d in shape)
-        n = 1
-        for d in shape:
-            n *= d
-        if n != self.nbits:
-            raise ValueError(f"cannot reshape {self.shape} -> {shape}")
-        return BitTensor(shape, self.words)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BitTensor)
-            and self.shape == other.shape
-            and np.array_equal(self.words, other.words)
-        )
-
     def __repr__(self):
         return f"BitTensor(shape={self.shape}, nbits={self.nbits})"
 
@@ -166,12 +132,6 @@ def sign_values(x):
     return np.where(x >= 0, np.float32(1.0), np.float32(-1.0))
 
 
-def sign_forward(x):
-    """Binarize a finite real tensor: +1 where x >= 0, else -1 (packed)."""
-    x = as_dense(x)
-    return BitTensor.from_bits((x >= 0).reshape(-1), x.shape)
-
-
 def ste_backward(x, upstream_grad):
     """Straight-through gradient of the sign node.
 
@@ -187,8 +147,8 @@ def ste_backward(x, upstream_grad):
 
 
 def pack(signs):
-    """Pack a tensor of exact +-1 values into a BitTensor."""
-    x = as_dense(signs)
+    """Pack a tensor of exact +-1 values into a BitTensor (NaN and Inf fail the check)."""
+    x = np.ascontiguousarray(signs, dtype=np.float32)
     if not np.all(np.abs(x) == 1.0):
         raise ValueError("pack() input must contain only +1/-1 values")
     return BitTensor.from_bits((x > 0).reshape(-1), x.shape)
@@ -202,23 +162,3 @@ def unpack(b):
     out *= 2.0
     out -= 1.0
     return out.reshape(b.shape)
-
-
-def xnor_popcount_dot(a, b):
-    """Integer dot product of two +-1 bit vectors of equal logical length.
-
-    Computed as 2 * popcount(XNOR masked to n bits) - n, which equals
-    sum(a_i * b_i) under the bit encoding above.
-    """
-    if not isinstance(a, BitTensor) or not isinstance(b, BitTensor):
-        raise TypeError("xnor_popcount_dot() expects BitTensors")
-    n = a.nbits
-    if n != b.nbits:
-        raise ValueError(f"length mismatch: {n} vs {b.nbits}")
-    x = np.bitwise_xor(a.words, b.words)
-    np.bitwise_not(x, out=x)
-    tail = n & 63
-    if tail:
-        x[-1] &= np.uint64((1 << tail) - 1)
-    matches = int(popcount(x).sum())
-    return 2 * matches - n

@@ -1,6 +1,7 @@
 """Forward ops for the hourglass network: float convolution, max pooling,
 fully-connected layers, batch normalization, BN->threshold folding, and the
-composite encoder/decoder forwards, packed (over ``kernels``) and reference.
+composite encoder/decoder forwards. The packed encoder is ``PackedEncoder``
+(over ``kernels``); ``encoder_forward`` is its float reference.
 
 Feature maps are channels-last: (H, W, C) or batched (N, H, W, C). Flattening
 between the last conv stage and the first FC stage is the row-major ravel of
@@ -9,7 +10,7 @@ between the last conv stage and the first FC stage is the row-major ravel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,13 +180,6 @@ def fold_bn_sign(p: BNParams, vmax=FOLD_VMAX):
     return ThresholdParams(hi.astype(np.int32), flip)
 
 
-def threshold_apply(v, t: ThresholdParams):
-    """Apply folded thresholds to integer pre-activations (channels-last)."""
-    v = np.asarray(v)
-    fire = (v >= t.tau) != t.flip
-    return np.where(fire, np.float32(1.0), np.float32(-1.0))
-
-
 # ---------------------------------------------------------------------------
 # encoder / decoder composites
 # ---------------------------------------------------------------------------
@@ -203,11 +197,6 @@ class EncoderLayer:
 class EncoderParams:
     input_size: int
     layers: list
-    in_channels: int = 3
-    _packed: object = field(default=None, repr=False, compare=False)
-
-    def feature_dim(self):
-        return self.layers[-1].weights.shape[0]
 
 
 @dataclass
@@ -226,11 +215,7 @@ class DecoderParams:
     out_weights: np.ndarray  # (3, C, 3, 3) final conv
     out_bias: np.ndarray     # (3,)
     out_resize_to: int
-    out_binarized: bool = False
     bottleneck_hw: int = 7   # spatial size when leaving the FC stages
-
-    def output_size(self):
-        return self.out_resize_to
 
 
 def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
@@ -253,8 +238,8 @@ class PackedEncoder:
 
     def __init__(self, enc: EncoderParams):
         self.input_size = enc.input_size
-        self.in_channels = enc.in_channels
         first = enc.layers[0]
+        self.in_channels = first.weights.shape[1]
         self.conv1_signs = unpack(first.weights)
         t1 = fold_bn_sign(first.bn)
         self.conv1_tau, self.conv1_flip = t1.tau, t1.flip
@@ -308,20 +293,16 @@ def _check_pixels(pixels, size, channels):
     return pixels
 
 
-def encoder_forward(img, enc: EncoderParams, path="packed"):
-    """Run the binarized encoder on an 8-bit image; returns +-1.0 features.
+def encoder_forward(img, enc: EncoderParams, path="reference"):
+    """Float reference of the binarized encoder on an 8-bit image: +-1.0 features.
 
-    path="packed" uses the ``PackedEncoder`` kernels; path="reference"
-    runs the float-emulation pipeline sign(BN(conv)) on the same quantized
-    input. The two are exactly equal by construction (folding is exact).
+    Runs sign(BN(conv)) in float32 on the same quantized input that
+    ``PackedEncoder(enc).features`` takes; the two are exactly equal by
+    construction (folding is exact). "reference" is the only ``path``.
     """
-    if path == "packed":
-        if enc._packed is None:
-            enc._packed = PackedEncoder(enc)
-        return enc._packed.features(_check_pixels(img, enc.input_size, enc.in_channels))
     if path != "reference":
-        raise ValueError(f"unknown path {path!r}")
-    img = _check_pixels(img, enc.input_size, enc.in_channels)
+        raise ValueError(f"unknown path {path!r}; the packed encoder is PackedEncoder(enc).features")
+    img = _check_pixels(img, enc.input_size, enc.layers[0].weights.shape[1])
     x = img.astype(np.float32)
     spatial = True
     for i, lay in enumerate(enc.layers):

@@ -43,6 +43,9 @@ from .layers import (
 MODES = ("full", "binary", "partial")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running-statistics decay per training batch
+ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba defaults)
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 SIZE_PRESETS = {
     "paper": (PAPER_INPUT_SIZE, PAPER_CHANNELS, PAPER_FC1_OUT),
@@ -323,9 +326,6 @@ class DcaeNet:
 
     # -- helpers ------------------------------------------------------------
 
-    def binarized_layer_names(self):
-        return tuple(sorted(self.binarized))
-
     def _w_eff(self, name):
         w = self.params[name + "_w"]
         return sign_values(w) if name in self.binarized else w
@@ -503,15 +503,8 @@ class DcaeNet:
             out_weights=sign_values(ow) if out_bin else ow,
             out_bias=self.params[o.name + "_b"],
             out_resize_to=o.resize_to,
-            out_binarized=out_bin,
             bottleneck_hw=self.bottleneck_hw,
         )
-
-    def state_dict(self):
-        state = {"cfg": self.cfg}
-        state.update({"param:" + k: v for k, v in self.params.items()})
-        state.update({"running:" + k: v for k, v in self.running.items()})
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +519,8 @@ class Adam:
     forward pass actually uses).
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, clip_names=()):
+    def __init__(self, params, lr=1e-3, clip_names=()):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -538,14 +528,14 @@ class Adam:
 
     def step(self, params, grads):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
             if g.shape != params[k].shape:
                 raise ValueError(f"gradient shape mismatch for {k}")
-            m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m = self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            v = self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
             params[k] = (params[k] - step).astype(params[k].dtype)
             if k in self.clip_names:
                 np.clip(params[k], -1.0, 1.0, out=params[k])
@@ -560,12 +550,6 @@ class Adam:
 class TrainedDcae:
     net: DcaeNet
     curve: list  # (epoch, train_mse, val_mse)
-
-    def encoder_params(self):
-        return self.net.encoder_params()
-
-    def decoder_params(self):
-        return self.net.decoder_params()
 
 
 def _to_unit(images, size):
@@ -587,7 +571,7 @@ def _to_unit(images, size):
     return np.ascontiguousarray(images, np.float32)
 
 
-def train_dcae(train_images, config: TrainConfig, val_images=None, log=None):
+def train_dcae(train_images, config: TrainConfig, val_images=None):
     """Train the autoencoder; returns TrainedDcae with the per-epoch curve.
 
     train_images: (N, S, S, 3) uint8 or [0,1] float. Divergence (non-finite
@@ -611,12 +595,12 @@ def train_dcae(train_images, config: TrainConfig, val_images=None, log=None):
             idx = order[start : start + bs]
             batch = x[idx]
             recon, tape = net.forward_train(batch)
-            diff = recon - batch
-            loss = float(np.mean(diff.astype(np.float64) ** 2))
+            loss = dcae_loss(batch, recon)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
             total += loss * len(idx)
             seen += len(idx)
+            diff = recon - batch
             drecon = (2.0 / diff.size) * diff
             grads = net.backward(tape, drecon.astype(np.float32))
             opt.step(net.params, grads)
@@ -626,8 +610,6 @@ def train_dcae(train_images, config: TrainConfig, val_images=None, log=None):
         else:
             val_mse = train_mse
         curve.append((epoch, train_mse, val_mse))
-        if log:
-            log(f"epoch {epoch}: train_mse={train_mse:.5f} val_mse={val_mse:.5f}")
     return TrainedDcae(net, curve)
 
 
@@ -635,8 +617,7 @@ def _eval_mse(net, images, bs):
     total, seen = 0.0, 0
     for start in range(0, len(images), bs):
         batch = images[start : start + bs]
-        recon = net.reconstruct(batch)
-        total += float(np.mean((recon - batch).astype(np.float64) ** 2)) * len(batch)
+        total += dcae_loss(batch, net.reconstruct(batch)) * len(batch)
         seen += len(batch)
     return total / seen
 

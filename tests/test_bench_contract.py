@@ -1,0 +1,44 @@
+"""The program API that ``perfbench/`` reads, checked on micro geometries.
+
+The benchmark replays ``PackedEncoder`` set-up and stages from outside
+(``loops``) and counts train-step FLOPs from the stage specs
+(``train_desk``). A rename or deletion of an attribute it reads fails here,
+in tier-1, rather than only in the much slower ``perfbench/test_smoke.py``.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from bitmotor.layers import PackedEncoder, encoder_forward, random_encoder_params
+from bitmotor.training import DcaeNet, TrainConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import loops  # noqa: E402
+import train_desk  # noqa: E402
+from measure import Tracer  # noqa: E402
+
+
+def test_replayed_encoder_equals_packed_and_reference():
+    rng = np.random.default_rng(0)
+    enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+    tracer = Tracer()
+    loops.replay_setup(enc, tracer)
+    pe = PackedEncoder(enc)
+    names = [lay.name for lay in enc.layers[1:]]
+    for _ in range(3):
+        img = rng.integers(0, 256, (33, 33, 3), dtype=np.uint8)
+        got = loops.replay_features(pe, names, img, tracer)
+        assert np.array_equal(got, pe.features(img))
+        assert np.array_equal(got, encoder_forward(img, enc, path="reference"))
+    assert {"layers.fold_bn_sign_ms", "kernels.pack_weights_ms"} <= tracer.per_root("setup").keys()
+    stages = {f"kernels.{s}_ms" for s in ("conv1", "conv2", "fc1", "fc2", "pool", "flatten")}
+    assert stages <= tracer.per_root("frame").keys()
+
+
+def test_step_flops_is_a_positive_int():
+    net = DcaeNet(TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64))
+    flops = train_desk.step_flops(net, 4)
+    assert isinstance(flops, int) and flops > 0

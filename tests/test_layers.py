@@ -10,6 +10,7 @@ from bitmotor.layers import (
     ConvParams,
     DecoderLayer,
     DecoderParams,
+    PackedEncoder,
     ThresholdParams,
     bn_forward,
     conv2d_float,
@@ -22,7 +23,6 @@ from bitmotor.layers import (
     nn_resize,
     pool_out_size,
     random_encoder_params,
-    threshold_apply,
 )
 
 
@@ -236,7 +236,7 @@ class TestFoldBnSign:
         t = fold_bn_sign(p)
         v = np.arange(-100, 101)
         want = sign_values(bn_forward(v[:, None].astype(np.float32), p))
-        got = threshold_apply(v[:, None], t)
+        got = signs((v[:, None] >= t.tau) != t.flip)
         assert np.array_equal(got, want)
         assert t.tau[0] == 4
 
@@ -245,7 +245,7 @@ class TestFoldBnSign:
         t = fold_bn_sign(p)
         assert t.flip[0]
         v = np.arange(-50, 51)
-        got = threshold_apply(v[:, None], t)[:, 0]
+        got = signs((v[:, None] >= t.tau) != t.flip)[:, 0]
         # direct-evaluation oracle; note sign(BN(0)) = sign(0) = +1
         want = sign_values(bn_forward(v[:, None].astype(np.float32), p))[:, 0]
         assert np.array_equal(got, want)
@@ -270,7 +270,7 @@ class TestFoldBnSign:
         v = np.arange(-1200, 1201)
         vb = np.broadcast_to(v[:, None], (v.size, k)).astype(np.float32)
         want = sign_values(bn_forward(vb, p))
-        got = threshold_apply(np.broadcast_to(v[:, None], (v.size, k)), t)
+        got = signs((np.broadcast_to(v[:, None], (v.size, k)) >= t.tau) != t.flip)
         assert np.array_equal(got, want)
 
 
@@ -334,8 +334,9 @@ class TestEncoderForward:
         rng = np.random.default_rng(9)
         enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
         img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
-        f1 = encoder_forward(img, enc, path="packed")
-        f2 = encoder_forward(img, enc, path="packed")
+        pe = PackedEncoder(enc)
+        f1 = pe.features(img)
+        f2 = pe.features(img)
         assert f1.shape == (64,)
         assert set(np.unique(f1)) <= {-1.0, 1.0}
         assert np.array_equal(f1, f2)
@@ -343,9 +344,10 @@ class TestEncoderForward:
     def test_packed_equals_reference_on_random_images(self):
         rng = np.random.default_rng(10)
         enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        pe = PackedEncoder(enc)
         for _ in range(10):
             img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
-            fp = encoder_forward(img, enc, path="packed")
+            fp = pe.features(img)
             fr = encoder_forward(img, enc, path="reference")
             assert np.array_equal(fp, fr)
 
@@ -353,7 +355,7 @@ class TestEncoderForward:
         rng = np.random.default_rng(11)
         enc = random_encoder_params(rng)  # full 142x142 Table geometry
         img = rng.integers(0, 256, size=(142, 142, 3), dtype=np.uint8)
-        fp = encoder_forward(img, enc, path="packed")
+        fp = PackedEncoder(enc).features(img)
         fr = encoder_forward(img, enc, path="reference")
         assert fp.shape == (64,)
         assert np.array_equal(fp, fr)
@@ -377,16 +379,35 @@ class TestEncoderForward:
                   np.full(shape, 255, np.uint8))
         # case 3: the random image again, as float-typed integral pixels
         img = (*pixels, pixels[0].astype(np.float32))[image]
-        fp = encoder_forward(img, enc, path="packed")
+        pe = PackedEncoder(enc)
+        fp = pe.features(img)
         fr = encoder_forward(img, enc, path="reference")
         assert np.array_equal(fp, fr)
-        assert np.array_equal(fp, encoder_forward(pixels[image % 3], enc, path="packed"))
+        assert np.array_equal(fp, pe.features(pixels[image % 3]))
 
     def test_wrong_input_shape(self):
         rng = np.random.default_rng(12)
         enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
         with pytest.raises(ValueError):
+            PackedEncoder(enc).features(np.zeros((10, 10, 3), np.uint8))
+        with pytest.raises(ValueError):
             encoder_forward(np.zeros((10, 10, 3), np.uint8), enc)
+
+    def test_follows_edited_bn(self):
+        # nothing built from enc is cached: after fc2's BN is edited, the
+        # default path gives the features of the edited encoder
+        rng = np.random.default_rng(13)
+        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
+        first = encoder_forward(img, enc)
+        fc2 = enc.layers[-1]
+        assert fc2.name == "fc2"
+        fc2.bn.gamma = -fc2.bn.gamma
+        second = encoder_forward(img, enc)
+        assert not np.array_equal(second, first)
+        assert np.array_equal(second, PackedEncoder(enc).features(img))
+        with pytest.raises(ValueError, match=r"PackedEncoder\(enc\)\.features"):
+            encoder_forward(img, enc, path="packed")
 
     def test_geometry_matches_table(self):
         stages = encoder_geometry(142, (32, 64, 128, 256), 1024)

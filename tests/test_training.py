@@ -214,16 +214,16 @@ class TestTrainDcae:
 
     def test_full_mode_binarizes_nothing(self):
         net = DcaeNet(micro_cfg("full"))
-        assert net.binarized_layer_names() == ()
+        assert net.binarized == frozenset()
 
     def test_partial_mode_never_binarizes_decoder(self):
         net = DcaeNet(micro_cfg("partial"))
-        names = net.binarized_layer_names()
+        names = net.binarized
         assert names and all(n.startswith("enc_") for n in names)
 
     def test_binary_mode_binarizes_everything(self):
         net = DcaeNet(micro_cfg("binary"))
-        names = net.binarized_layer_names()
+        names = net.binarized
         assert any(n.startswith("dec_") for n in names)
         assert "dec_out" in names
 
@@ -236,12 +236,16 @@ class TestTrainDcae:
             assert np.array_equal(a.net.params[k], b.net.params[k]), k
         assert a.curve == b.curve
 
-    @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3), "float255"])
+    @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3), "float255", "inf"])
     @pytest.mark.parametrize("path", ["train", "val", "extract"])
     def test_malformed_images_rejected(self, path, shape):
         if shape == "float255":  # well-shaped, but float pixels in 0..255
             bad = micro_images(4).astype(np.float32)
             match = r"\[0, 1\], got values in \[4\.0, 248\.0\]"
+        elif shape == "inf":  # +-Inf fails the range check, so a loss never sees it
+            bad = micro_images(4).astype(np.float32) / 255.0
+            bad[0, 0, 0, 0], bad[1, 2, 3, 1] = np.inf, -np.inf
+            match = r"\[0, 1\], got values in \[-inf, inf\]"
         else:
             bad = np.zeros(shape, np.uint8)
             match = r"\(N, 16, 16, 3\)"
@@ -270,9 +274,9 @@ class TestTrainDcae:
         imgs = micro_images(8)
         full = train_dcae(imgs, micro_cfg("full", epochs=1, batch_size=8))
         with pytest.raises(ValueError):
-            full.encoder_params()
+            full.net.encoder_params()
         pb = train_dcae(imgs, micro_cfg("partial", epochs=1, batch_size=8))
-        enc = pb.encoder_params()
+        enc = pb.net.encoder_params()
         assert enc.input_size == 16
 
     def test_features_shape_and_codomain(self):
@@ -334,7 +338,7 @@ class TestReconstructionConsistency:
         x01 = imgs.astype(np.float32) / 255.0
         batched = pb.net.reconstruct(x01)
         feats = pb.net.encode(x01)
-        dec = pb.decoder_params()
+        dec = pb.net.decoder_params()
         single = np.stack([decoder_forward(f, dec) for f in feats])
         assert np.allclose(batched, single, atol=1e-6)
 
