@@ -128,8 +128,10 @@ class BitTensor:
 
 def sign_values(x):
     """Elementwise sign with sign(0) = +1, as float32 +-1.0 values."""
-    x = np.asarray(x)
-    return np.where(x >= 0, np.float32(1.0), np.float32(-1.0))
+    out = (np.asarray(x) >= 0).astype(np.float32)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def ste_backward(x, upstream_grad):

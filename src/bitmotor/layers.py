@@ -335,12 +335,11 @@ def nn_resize(x, size):
 def logistic(x):
     """Numerically stable 1 / (1 + exp(-x)); floating inputs keep their dtype."""
     x = as_float(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both
+    # branches see the same values a masked exp would give them
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def decoder_forward(feat, dec: DecoderParams):

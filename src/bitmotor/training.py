@@ -9,6 +9,13 @@ clipped to [-1, 1] after each optimizer step.
 
 Three modes share one graph and differ only in which layers binarize:
 "full" (none), "partial" (encoder only), "binary" (everything).
+
+Seeded float32 training is reproducible to the bit, so the stage primitives
+are written for speed without changing any sum: each one does the same
+arithmetic in the same order as the plain form kept beside its tests
+(``tests/test_train_oracles.py``) and only lays memory out differently or
+makes fewer passes. The backward walk stops at the first stage's parameter
+gradients, since nothing reads the gradient of the input image.
 """
 
 from __future__ import annotations
@@ -176,38 +183,46 @@ def _conv_fwd(x, w, bias=None, pad_value=0.0):
     return out, cols
 
 
-def _conv_bwd(dout, cols, w, with_bias=False):
+def _conv_weight_grad(dout, cols):
+    """Weight gradient of ``_conv_fwd`` from its saved columns."""
+    o = dout.shape[-1]
+    c = cols.shape[-1] // 9
+    dw = cols.reshape(-1, 9 * c).T @ dout.reshape(-1, o)  # (9C, O)
+    return np.ascontiguousarray(dw.reshape(3, 3, c, o).transpose(3, 2, 0, 1))
+
+
+def _conv_input_grad(dout, w):
+    """Input gradient of ``_conv_fwd``: the adjoint of im2col (col2im).
+
+    The columns are computed tap-major, ``(3, 3, C, N, H, W)``, and the nine
+    taps are added in (dy, dx) order into a channel-first padded map, so each
+    add moves runs of W values instead of C. Every pixel still receives its
+    nine taps in the same order as a pixel-major col2im. The columns come
+    from ``w @ dout.T``; OpenBLAS's sgemm rounds that as it rounds
+    ``dout @ w.T``, though BLAS does not promise it, and its dgemm differs
+    in the last bit on some shapes (float64 nets serve gradient checks).
+    """
     n, h, wd, o = dout.shape
     c = w.shape[1]
-    dflat = dout.reshape(-1, o)
-    cflat = cols.reshape(-1, 9 * c)
-    dw2 = cflat.T @ dflat  # (9C, O)
-    dw = dw2.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
-    dcols = (dflat @ weight_matrix(w).T).reshape(n, h, wd, 3, 3, c)
-    dxp = np.zeros((n, h + 2, wd + 2, c), dcols.dtype)
+    dcols = (weight_matrix(w) @ dout.reshape(-1, o).T).reshape(3, 3, c, n, h, wd)
+    dxp = np.zeros((c, n, h + 2, wd + 2), dcols.dtype)
     for dy in range(3):
         for dx in range(3):
-            dxp[:, dy : dy + h, dx : dx + wd, :] += dcols[:, :, :, dy, dx, :]
-    dx = dxp[:, 1:-1, 1:-1]
-    db = dout.sum(axis=(0, 1, 2)) if with_bias else None
-    return dx, np.ascontiguousarray(dw), db
-
-
-def _fc_fwd(x, w):
-    return x @ w.T, x
-
-
-def _fc_bwd(dout, x, w):
-    return dout @ w, dout.T @ x
+            dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[dy, dx]
+    return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 2, 3, 0))
 
 
 def _bn_fwd(x, gamma, beta):
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    xhat = x - mu
+    sq = xhat * xhat
+    # numpy's own x.var expression, so var is bit-identical to x.var(axes)
+    var = sq.sum(axis=axes) / (x.size // x.shape[-1])
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu) * inv
-    y = gamma * xhat + beta
+    xhat *= inv
+    y = np.multiply(xhat, gamma, out=sq)  # gamma * xhat + beta, in sq's buffer
+    y += beta
     return y, (xhat, inv, gamma), (mu, var)
 
 
@@ -217,19 +232,31 @@ def _bn_bwd(dy, cache):
     dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
     dxhat = dy * gamma
-    dx = inv * (dxhat - dxhat.mean(axis=axes) - xhat * (dxhat * xhat).mean(axis=axes))
-    return dx.astype(dy.dtype), dgamma, dbeta
+    t = dxhat * xhat
+    mean_dxhat_xhat = t.mean(axis=axes)
+    # in place, in the order of inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    dxhat -= dxhat.mean(axis=axes)
+    dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=t)
+    dxhat *= inv
+    return dxhat.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
 def _pool_fwd(x):
+    """3x3 stride-2 max pool plus each output's window index, as uint8.
+
+    A later tap wins only when strictly greater, which is argmax's first-max
+    rule; on +-1 maps nearly every window is a tie. On a tie ``np.maximum``
+    returns its second argument, so the earlier value stays, -0.0 included.
+    """
     n, h, wd, c = x.shape
     ho = (h - 3) // 2 + 1
     wo = (wd - 3) // 2 + 1
-    windows = np.stack(
-        [x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
-    )
-    idx = windows.argmax(axis=0)
-    out = np.take_along_axis(windows, idx[None], axis=0)[0]
+    views = [x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
+    out = views[0].copy()
+    idx = np.zeros(out.shape, np.uint8)
+    for t in range(1, 9):
+        np.putmask(idx, views[t] > out, t)
+        np.maximum(views[t], out, out=out)
     return out, (idx, h, wd)
 
 
@@ -244,14 +271,30 @@ def _pool_bwd(dout, cache):
     return dx
 
 
+def _fold_copies(d, n, axis):
+    """Sum each run of ``nn_index`` copies along ``axis`` back into n values.
+
+    Each run of k copies sums as ``first + ((second + third) + ...)``, the
+    grouping of ``np.add.reduceat``, which adds a segment's tail in order
+    before adding it to the head while the tail is shorter than eight (a
+    decoder resize at most quadruples a side).
+    """
+    starts = np.searchsorted(nn_index(n, d.shape[axis]), np.arange(n))
+    runs = np.diff(starts, append=d.shape[axis])
+    bcast = (-1,) + (1,) * (d.ndim - axis - 1)
+    out = np.take(d, starts, axis=axis)
+    if runs.max() > 1:
+        tail = np.take(d, starts + 1, axis=axis, mode="clip")
+        for k in range(2, runs.max()):
+            more = np.take(d, starts + k, axis=axis, mode="clip")
+            np.add(tail, more, out=tail, where=(runs > k).reshape(bcast))
+        np.add(out, tail, out=out, where=(runs > 1).reshape(bcast))
+    return out
+
+
 def _resize_bwd(dout, h, wd):
     """Adjoint of ``nn_resize``: sum each input pixel's copies."""
-    size = dout.shape[1]
-    row_starts = np.searchsorted(nn_index(h, size), np.arange(h))
-    col_starts = np.searchsorted(nn_index(wd, size), np.arange(wd))
-    dx = np.add.reduceat(dout, row_starts, axis=1)
-    dx = np.add.reduceat(dx, col_starts, axis=2)
-    return np.ascontiguousarray(dx, dtype=dout.dtype)
+    return _fold_copies(_fold_copies(dout, h, 1), wd, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +375,7 @@ class DcaeNet:
 
     def _act_fwd(self, name, z):
         if name in self.binarized:
-            return sign_values(z).astype(z.dtype), z
+            return sign_values(z).astype(z.dtype, copy=False), z
         t = np.tanh(z)
         return t, t
 
@@ -372,8 +415,8 @@ class DcaeNet:
             entry = {"spec": spec, "in_shape": x.shape}
             w = entry["w_eff"] = self._w_eff(spec.name)
             if spec.kind == "fc":
-                x = x.reshape(len(x), -1)
-                pre, entry["x_in"] = _fc_fwd(x, w)
+                x = entry["x_in"] = x.reshape(len(x), -1)
+                pre = x @ w.T
             else:
                 if x.ndim == 2:  # leaving the FC stages
                     x = x.reshape(len(x), self.bottleneck_hw, self.bottleneck_hw, spec.in_dim)
@@ -411,31 +454,50 @@ class DcaeNet:
         return recon, tape
 
     def backward(self, tape, drecon):
-        """Gradients for every trainable parameter given d(loss)/d(recon)."""
+        """Gradients for every trainable parameter given d(loss)/d(recon).
+
+        The walk ends with the first stage's parameter gradients: the
+        gradient with respect to the image has no reader, so it is never
+        computed.
+        """
         grads = {}
         dx = drecon
-        for entry in reversed(tape):
-            spec = entry["spec"]
-            name = spec.name
-            if spec is self.out_spec:
-                s = entry["sig"]
-                dpre = (dx * s * (1.0 - s)).astype(self.dtype)
-            else:
-                if spec.pool:
-                    dx = _pool_bwd(dx, entry["pool"])
-                dz = self._act_bwd(name, dx, entry["act"])
-                dpre, grads[name + "_gamma"], grads[name + "_beta"] = _bn_bwd(dz, entry["bn"])
-            if spec.kind == "fc":
-                dx, grads[name + "_w"] = _fc_bwd(dpre, entry["x_in"], entry["w_eff"])
-            else:
-                with_bias = spec is self.out_spec
-                dx, grads[name + "_w"], db = _conv_bwd(dpre, entry["cols"], entry["w_eff"], with_bias)
-                if with_bias:
-                    grads[name + "_b"] = db
-                if "resize" in entry:
-                    dx = _resize_bwd(dx, *entry["resize"])
-            dx = dx.reshape(entry["in_shape"])
+        for entry in tape[:0:-1]:
+            dpre = self._param_grads(entry, dx, grads)
+            dx = self._input_grad(entry, dpre)
+        self._param_grads(tape[0], dx, grads)
         return grads
+
+    def _param_grads(self, entry, dout, grads):
+        """Back from a stage's output to its pre-activation gradient, which
+        is returned; the stage's parameter gradients go into ``grads``."""
+        spec = entry["spec"]
+        name = spec.name
+        if spec is self.out_spec:
+            s = entry["sig"]
+            dpre = (dout * s * (1.0 - s)).astype(self.dtype)
+        else:
+            if spec.pool:
+                dout = _pool_bwd(dout, entry["pool"])
+            dz = self._act_bwd(name, dout, entry["act"])
+            dpre, grads[name + "_gamma"], grads[name + "_beta"] = _bn_bwd(dz, entry["bn"])
+        if spec.kind == "fc":
+            grads[name + "_w"] = dpre.T @ entry["x_in"]
+        else:
+            grads[name + "_w"] = _conv_weight_grad(dpre, entry["cols"])
+        if spec is self.out_spec:
+            grads[name + "_b"] = dpre.sum(axis=(0, 1, 2))
+        return dpre
+
+    def _input_grad(self, entry, dpre):
+        """d(loss)/d(stage input), in the shape the stage received."""
+        if entry["spec"].kind == "fc":
+            dx = dpre @ entry["w_eff"]
+        else:
+            dx = _conv_input_grad(dpre, entry["w_eff"])
+            if "resize" in entry:
+                dx = _resize_bwd(dx, *entry["resize"])
+        return dx.reshape(entry["in_shape"])
 
     # -- inference-mode forward ----------------------------------------------
 
@@ -533,10 +595,20 @@ class Adam:
         for k, g in grads.items():
             if g.shape != params[k].shape:
                 raise ValueError(f"gradient shape mismatch for {k}")
-            m = self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            v = self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-            params[k] = (params[k] - step).astype(params[k].dtype)
+            # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)
+            m, v = self.m[k], self.v[k]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            step = m / b1c
+            step *= self.lr
+            den = v / b2c
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            step /= den
+            params[k] -= step
             if k in self.clip_names:
                 np.clip(params[k], -1.0, 1.0, out=params[k])
         return self
