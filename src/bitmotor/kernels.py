@@ -1,47 +1,67 @@
 """Compute kernels for the packed binarized encoder, and the 3x3 conv column
-layout that every conv in the package shares.
+layout of the float convs.
 
 Weights are stored as bits (``BitTensor``); this module decides how each
 stage computes on them. ``layers.PackedEncoder`` runs these kernels, and the
 tests call them directly against float oracles.
 
+Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1, and
+the first conv takes the raw 8-bit pixels. Both run ``_conv_fire``: it lays
+out the horizontal taps of each pixel once, as rows ``(H+2, W, 3*C)`` with a
+zero border, cast once to float32. The 3x3 conv is then three sgemms, one per
+vertical tap ``dy``, of the contiguous row-shifted view
+``rows[dy*W : dy*W + H*W]`` against the ``dy`` block of ``weight_matrix``,
+accumulated in place. No 9*C-wide column copy is made; this is the split
+over kernel taps of low-memory GEMM convolution (Anderson et al. 2017,
+arXiv 1709.03395). Each output channel fires on one compare, ``pre >= t``.
+
+The split is exact. Every product is an integer and every partial sum is an
+integer of magnitude below 2**24, which float32 represents exactly, so no
+summation order, blocking, fused multiply-add inside BLAS or split into
+three products can change a result: binary convs sum at most 9*256 = 2304
+terms of 0 or +-1 at the paper geometry, and the first conv sums at most
+27*255 = 6885.
+
+Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
+``layers.fold_bn_sign``) into the single threshold ``t`` at set-up:
+
+- A flipped channel fires where ``x.w < tau``, that is where
+  ``x.(-w) >= 1 - tau``: its weights are negated and ``tau`` becomes
+  ``1 - tau``.
+- A binary conv multiplies the bits ``b`` themselves, not the +-1 values
+  ``x = 2*b - 1``: ``x.w = 2*(b.w) - sum(w)``, so ``x.w >= tau`` exactly
+  where ``b.w >= ceil((tau + sum(w)) / 2)``. The zero border is the zero
+  bit, the -1 padding of the float reference.
+
+Thresholds are clipped to one past the reachable range of ``pre`` before
+they are cast to float32, which keeps them exact without changing any
+comparison.
+
 ``im2col`` lays out the 3x3 windows of a channels-last map as columns
 ordered (dy, dx, c), and ``weight_matrix`` lays out (O, C, 3, 3) weights as
-the matching (9*C, O) matrix, so a conv is one matrix product. The float
-convs in ``layers`` and the trainer use the same two functions.
-
-Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1. A
-binary conv maps the input to +-1.0 float32 values, pads it with -1, and
-multiplies its columns by the +-1.0 weight matrix in one sgemm. The first
-conv runs the same im2col + sgemm on the raw 8-bit pixels with zero padding.
-Each output channel then fires where ``(pre >= tau) != flip``, with
-``(tau, flip)`` the BN->sign threshold folded in ``layers.fold_bn_sign``.
-
-The sgemm is exact. Every product is an integer and every partial sum is an
-integer of magnitude below 2**24, which float32 represents exactly, so no
-summation order, blocking or fused multiply-add inside BLAS can change a
-result: binary convs sum at most 9*256 = 2304 terms of +-1 at the paper
-geometry, and the first conv sums at most 27*255 = 6885. Thresholds are
-clipped to one past the largest reachable sum before they are cast to
-float32, which keeps them exact too without changing any comparison.
+the matching (9*C, O) matrix, so a conv is one matrix product. The trainer
+(``training._conv_fwd``, whose weight gradient reuses the columns) and the
+float reference (``layers.conv2d_float``) use ``im2col``; the packed convs
+do not.
 
 Fully-connected stages stay XNOR-popcount on packed words: the flattened
 conv map is packed row-major into ``ceil(n/64)`` uint64 words, bit i at
 position ``i & 63`` of word ``i >> 6`` with zero tail bits (the ``BitTensor``
-layout), and each output neuron counts matches against its packed weight
+layout), and each output neuron counts mismatches against its packed weight
 row. fc1 at paper geometry has 1024 x 12544 weights: 1.6 MB as packed words,
 but 51 MB as a float32 matrix that a matrix-vector product would have to
 stream on every frame, while the popcount takes well under a millisecond.
-A +-1 dot product of length ``n`` equals ``2*(matches - tail) - n``, so the
-threshold on the dot product becomes a threshold on the match count, see
-``match_thresholds``.
+Flipped neurons negate their weight row, as above. A +-1 dot product of
+length ``n`` is ``n - 2*mismatches``, and the zero tails of both operands
+XOR to zero, so a neuron fires where ``mismatches <= (n - tau) // 2``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import nwords, pack_channel_words, popcount
+from .core import pack_channel_words, popcount
 from .core import unpack_channel_words  # noqa: F401  (decodes feature words for callers)
 
 # ---------------------------------------------------------------------------
@@ -56,55 +76,24 @@ def flat_words(x, c):
     return pack_channel_words(x.reshape(-1))
 
 
-def pack_fc_weights(wsigns):
-    """FC weight signs (O, I) of +-1 -> row words (O, nw)."""
-    bits = (np.asarray(wsigns) > 0).astype(np.uint8)
-    return pack_channel_words(bits)
-
-
-def match_thresholds(tau, flip, n, tail_const):
-    """Dot-domain (tau, flip) -> match-count threshold for the FC kernel.
-
-    ``tail_const`` is the popcount contribution of the zero tail bits, which
-    XNOR to ones against the zero-padded weight words.
-    """
-    tau = np.asarray(tau, dtype=np.int64)
-    taum = (tau + n + 1) // 2 + tail_const
-    taum = np.clip(taum, np.iinfo(np.int32).min, np.iinfo(np.int32).max)
-    return taum.astype(np.int32), np.asarray(flip, dtype=np.bool_)
-
-
-# ---------------------------------------------------------------------------
-# conv stages: im2col + sgemm
-# ---------------------------------------------------------------------------
-
-
 def im2col(x, pad_value):
     """(..., H, W, C) map -> (..., H, W, 9*C) columns of its 3x3 windows.
 
     Each pixel's column holds its window in (dy, dx, c) order, the row order
     of ``weight_matrix``; the border is ``pad_value``. The columns keep the
-    dtype of ``x``.
+    dtype of ``x`` and are C-contiguous.
     """
     h, wd, cin = x.shape[-3:]
     lead = x.shape[:-3]
-    # two passes, horizontal taps then vertical, so each copy moves runs of
-    # 3*C values; that is faster than nine copies of C when C is small. The
-    # horizontal pass reads x itself and writes the border, so no padded copy
-    # of x is made. Tap dx of output column j reads input column j + dx - 1.
-    rows = np.empty(lead + (h + 2, wd, 3, cin), x.dtype)
-    rows[..., 0, :, :, :] = pad_value
-    rows[..., -1, :, :, :] = pad_value
-    rows[..., 1:-1, :, 1, :] = x
-    rows[..., 1:-1, 1:, 0, :] = x[..., :-1, :]
-    rows[..., 1:-1, 0, 0, :] = pad_value
-    rows[..., 1:-1, :-1, 2, :] = x[..., 1:, :]
-    rows[..., 1:-1, -1, 2, :] = pad_value
-    rows = rows.reshape(lead + (h + 2, wd, 3 * cin))
-    cols = np.empty(lead + (h, wd, 3, 3 * cin), x.dtype)
-    for dy in range(3):
-        cols[..., dy, :] = rows[..., dy : dy + h, :, :]
-    return cols.reshape(lead + (h, wd, 9 * cin))
+    xp = np.empty(lead + (h + 2, wd + 2, cin), x.dtype)
+    xp[...] = pad_value
+    xp[..., 1:-1, 1:-1, :] = x
+    # in a padded row the taps dx of one window are a contiguous run of 3*C
+    # values, so windows (dy, 3*C) taken every C values along the row are
+    # the columns
+    xp = xp.reshape(lead + (h + 2, (wd + 2) * cin))
+    win = sliding_window_view(xp, (3, 3 * cin), axis=(-2, -1))[..., ::cin, :, :]
+    return np.ascontiguousarray(win).reshape(lead + (h, wd, 9 * cin))
 
 
 def weight_matrix(w):
@@ -113,21 +102,44 @@ def weight_matrix(w):
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(9 * cin, o_ch))
 
 
-def _float_thresholds(tau, bound):
-    """Integer thresholds clipped to [-(bound+1), bound+1], as exact float32.
+# ---------------------------------------------------------------------------
+# conv stages: three sgemms over row-shifted tap rows
+# ---------------------------------------------------------------------------
 
-    Pre-activations lie in [-bound, bound], so the clip changes no
-    comparison, and bound+1 < 2**24 keeps the cast exact.
+
+def _fold_conv(wsigns, tau, flip, bits):
+    """+-1 weights (O, C, 3, 3) and ``(tau, flip)`` -> ``(ww, t)`` of ``_conv_fire``.
+
+    ``bits`` says the input is 0/1 bits standing for +-1 values; otherwise
+    it is pixels in [0, 255]. Flipped channels get negated weights and
+    ``1 - tau``; bit inputs move ``tau`` into the bit domain.
     """
-    tau = np.clip(np.asarray(tau, dtype=np.int64), -(bound + 1), bound + 1)
-    return tau.astype(np.float32)
+    flip = np.asarray(flip, np.bool_)
+    ww = weight_matrix(np.asarray(wsigns, np.float32))
+    ww *= np.where(flip, np.float32(-1.0), np.float32(1.0))
+    tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
+    bound = ww.shape[0]
+    if bits:
+        tau = (tau + ww.sum(axis=0, dtype=np.int64) + 1) // 2
+    else:
+        bound *= 255
+    t = np.clip(tau, -(bound + 1), bound + 1).astype(np.float32)
+    return ww, t
 
 
-def _conv_fire(x, pad_value, ww, tau, flip):
-    """(H, W, C) float32 map -> (H, W, O) bool map of fired units."""
-    h, wd, _ = x.shape
-    pre = im2col(x, pad_value).reshape(h * wd, -1) @ ww
-    return ((pre >= tau) != flip).reshape(h, wd, -1)
+def _conv_fire(x, ww, t):
+    """(H, W, C) bits or pixels -> (H, W, O) bool map of ``pre >= t``."""
+    h, wd, c = x.shape
+    rows = np.zeros((h + 2, wd, 3, c), x.dtype)
+    rows[1:-1, :, 1] = x
+    rows[1:-1, 1:, 0] = x[:, :-1]
+    rows[1:-1, :-1, 2] = x[:, 1:]
+    rows = rows.reshape((h + 2) * wd, 3 * c).astype(np.float32)
+    n, k = h * wd, 3 * c
+    pre = rows[:n] @ ww[:k]
+    for dy in (1, 2):
+        pre += rows[dy * wd : dy * wd + n] @ ww[dy * k : (dy + 1) * k]
+    return (pre >= t).reshape(h, wd, -1)
 
 
 def conv1_forward(pixels, wsigns, tau, flip):
@@ -137,13 +149,11 @@ def conv1_forward(pixels, wsigns, tau, flip):
     tau/flip: per-channel thresholds in the integer pre-activation domain.
     Returns the (H, W, O) bool map of the binarized output.
     """
-    ww = weight_matrix(np.asarray(wsigns, np.float32))
-    tau = _float_thresholds(tau, 9 * pixels.shape[-1] * 255)
-    return _conv_fire(pixels.astype(np.float32), 0.0, ww, tau, np.asarray(flip, np.bool_))
+    return _conv_fire(pixels, *_fold_conv(wsigns, tau, flip, bits=False))
 
 
 class BinConvKernel:
-    """+-1 weight matrix and thresholds for one binary conv layer."""
+    """Folded weight matrix and thresholds for one binary conv layer."""
 
     def __init__(self, wsigns, tau, flip):
         o_ch, cin, kh, kw = wsigns.shape
@@ -151,18 +161,13 @@ class BinConvKernel:
             raise ValueError("binary conv kernels are 3x3")
         self.out_channels = o_ch
         self.in_channels = cin
-        self.ww = weight_matrix(np.asarray(wsigns, np.float32))
-        self.tau = _float_thresholds(tau, 9 * cin)
-        self.flip = np.ascontiguousarray(flip, dtype=np.bool_)
+        self.ww, self.t = _fold_conv(wsigns, tau, flip, bits=True)
 
     def __call__(self, x):
         """x: (H, W, C) bool map -> (H, W, O) bool map."""
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ValueError(f"expected an (H, W, {self.in_channels}) map, got {x.shape}")
-        xs = x.astype(np.float32)
-        xs *= 2.0
-        xs -= 1.0
-        return _conv_fire(xs, -1.0, self.ww, self.tau, self.flip)
+        return _conv_fire(x, self.ww, self.t)
 
 
 def pool_or(x):
@@ -183,16 +188,18 @@ def pool_or(x):
 
 
 class BinFcKernel:
-    """Packed weight rows and match-count thresholds for one binary FC layer."""
+    """Packed weight rows and mismatch thresholds for one binary FC layer."""
 
     def __init__(self, wsigns, tau, flip):
         o_ch, in_dim = wsigns.shape
         self.out_features = o_ch
         self.in_features = in_dim
-        self.wv = np.ascontiguousarray(pack_fc_weights(wsigns))
-        self.taum, self.flip = match_thresholds(
-            tau, flip, in_dim, 64 * nwords(in_dim) - in_dim
-        )
+        flip = np.asarray(flip, np.bool_)
+        # the +1 bits of the negated row of a flipped neuron are its -1 bits
+        bits = (wsigns > 0) != flip[:, None]
+        self.wv = np.ascontiguousarray(pack_channel_words(bits.view(np.uint8)))
+        tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
+        self.max_mismatch = np.clip((in_dim - tau) // 2, -1, in_dim + 1)
 
     def __call__(self, xv):
         """xv: (nw,) input words -> (nwo,) output words."""
@@ -201,8 +208,5 @@ class BinFcKernel:
             raise ValueError(
                 f"expected {self.wv.shape[1]} words for {self.in_features} inputs, got {xv.shape}"
             )
-        x = np.bitwise_xor(self.wv, xv[None, :])
-        np.bitwise_not(x, out=x)
-        counts = popcount(x).sum(axis=1, dtype=np.int64)
-        fire = (counts >= self.taum) != self.flip
-        return pack_channel_words(fire)
+        mismatches = popcount(self.wv ^ xv).sum(axis=1, dtype=np.int64)
+        return pack_channel_words(mismatches <= self.max_mismatch)

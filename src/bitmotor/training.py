@@ -248,16 +248,32 @@ def _pool_fwd(x):
     rule; on +-1 maps nearly every window is a tie. On a tie ``np.maximum``
     returns its second argument, so the earlier value stays, -0.0 included.
     """
-    n, h, wd, c = x.shape
-    ho = (h - 3) // 2 + 1
-    wo = (wd - 3) // 2 + 1
-    views = [x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
+    views = _pool_windows(x)
     out = views[0].copy()
     idx = np.zeros(out.shape, np.uint8)
     for t in range(1, 9):
         np.putmask(idx, views[t] > out, t)
         np.maximum(views[t], out, out=out)
-    return out, (idx, h, wd)
+    return out, (idx, x.shape[1], x.shape[2])
+
+
+def _pool_max(x):
+    """The max of ``_pool_fwd`` without the window indices, for eval.
+
+    The taps are taken in the same order and ``np.maximum`` gets the same
+    argument order, so ties and signed zeros resolve identically.
+    """
+    views = _pool_windows(x)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
+    return out
+
+
+def _pool_windows(x):
+    """The nine strided tap views of a 3x3 stride-2 pool, in (dy, dx) order."""
+    ho, wo = pool_out_size(x.shape[1]), pool_out_size(x.shape[2])
+    return [x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
 
 
 def _pool_bwd(dout, cache):
@@ -409,7 +425,8 @@ class DcaeNet:
 
         With a tape, BN normalizes by batch statistics (folded into the
         running ones if update_running) and each stage appends what
-        ``backward`` needs; without one, BN uses the running statistics.
+        ``backward`` needs; without one, BN uses the running statistics and
+        pools find no window indices.
         """
         for spec in specs:
             entry = {"spec": spec, "in_shape": x.shape}
@@ -440,7 +457,9 @@ class DcaeNet:
                                 BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat
                             ).astype(self.dtype)
                 x, entry["act"] = self._act_fwd(spec.name, z)
-                if spec.pool:
+                if spec.pool and tape is None:
+                    x = _pool_max(x)
+                elif spec.pool:
                     x, entry["pool"] = _pool_fwd(x)
             if tape is not None:
                 tape.append(entry)

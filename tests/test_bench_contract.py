@@ -10,7 +10,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from bitmotor import kernels
 from bitmotor.layers import PackedEncoder, encoder_forward, random_encoder_params
 from bitmotor.training import DcaeNet, TrainConfig
 
@@ -42,3 +44,23 @@ def test_step_flops_is_a_positive_int():
     net = DcaeNet(TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64))
     flops = train_desk.step_flops(net, 4)
     assert isinstance(flops, int) and flops > 0
+
+
+def test_deployed_path_builds_no_conv_columns(monkeypatch):
+    # the packed convs multiply row-shifted tap rows; only the trainer and
+    # the float reference lay out 9*C-wide im2col columns
+    rng = np.random.default_rng(1)
+    enc = random_encoder_params(rng, input_size=17, channels=(4, 8), fc1_out=16)
+    img = rng.integers(0, 256, (17, 17, 3), dtype=np.uint8)
+    want = encoder_forward(img, enc, path="reference")
+    pe = PackedEncoder(enc)
+
+    def no_columns(*args):
+        raise AssertionError("im2col called on the deployed path")
+
+    monkeypatch.setattr(kernels, "im2col", no_columns)
+    names = [lay.name for lay in enc.layers[1:]]
+    assert np.array_equal(pe.features(img), want)
+    assert np.array_equal(loops.replay_features(pe, names, img, Tracer()), want)
+    with pytest.raises(AssertionError, match="deployed path"):
+        encoder_forward(img, enc, path="reference")  # the patch is live

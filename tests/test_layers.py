@@ -190,6 +190,21 @@ class TestFc:
             got = run_fc(xv, wv, ThresholdParams(tau, flip))
             assert np.array_equal(got, want)
 
+    def test_binary_thresholds_past_reach(self):
+        rng = np.random.default_rng(17)
+        big = np.iinfo(np.int32)
+        for n_in in (1, 63, 64, 65, 200):
+            xv = rng.choice([-1.0, 1.0], size=n_in).astype(np.float32)
+            wv = rng.choice([-1.0, 1.0], size=(16, n_in)).astype(np.float32)
+            dots = wv.astype(np.int64) @ xv.astype(np.int64)
+            for tau in (dots, dots + 1, np.full(16, n_in + 1), np.full(16, -n_in - 1),
+                        np.full(16, 2**24), np.full(16, -(2**24)),
+                        np.full(16, big.max), np.full(16, big.min)):
+                for flip in (np.zeros(16, bool), np.ones(16, bool), np.arange(16) % 3 == 0):
+                    want = np.where((dots >= tau) != flip, 1.0, -1.0)
+                    got = run_fc(xv, wv, ThresholdParams(tau.astype(np.int32), flip))
+                    assert np.array_equal(got, want), (n_in, tau, flip)
+
     def test_binary_input_length_mismatch(self):
         t = ThresholdParams(np.zeros(2, np.int32), np.zeros(2, bool))
         with pytest.raises(ValueError):  # one input word where 65 inputs need two
@@ -327,6 +342,56 @@ class TestConvBinary:
         x = np.ones((4, 4, 2), np.float32)
         with pytest.raises(ValueError):
             run_conv(x, np.ones((1, 3, 3, 3), np.float32), self._thresholds([0]))
+
+
+class TestPackedConvThresholds:
+    """Both packed convs against the float oracle where the folded
+    threshold is easiest to get wrong: right at the reachable sums, past
+    them, and on narrow maps."""
+
+    @staticmethod
+    def _case(first, h, w, rng):
+        c_in = 3 if first else 5
+        if first:
+            x = rng.integers(0, 256, (h, w, c_in), dtype=np.uint8)
+        else:
+            x = rng.choice([-1.0, 1.0], size=(h, w, c_in)).astype(np.float32)
+        ws = rng.choice([-1.0, 1.0], size=(12, c_in, 3, 3)).astype(np.float32)
+        pre = conv2d_float(x, ConvParams(ws, np.zeros(12, np.float32)), pad_value=0.0 if first else -1.0)
+        return x, ws, pre
+
+    @staticmethod
+    def _run(first, x, ws, tau, flip):
+        if first:
+            return kernels.conv1_forward(x, ws, tau, flip)
+        return kernels.BinConvKernel(ws, tau, flip)(x > 0)
+
+    def _taus(self, first, ws, pre, rng):
+        """Per-channel threshold sets: reached sums and their neighbours
+        (both parities), the column sum and its neighbours, and values at
+        and past one beyond the reachable range."""
+        o = ws.shape[0]
+        window = ws[0].size * (255 if first else 1)
+        reached = pre.reshape(-1, o)[rng.integers(0, pre.shape[0] * pre.shape[1], o), np.arange(o)]
+        colsum = ws.sum(axis=(1, 2, 3))
+        sets = [reached + d for d in (-1, 0, 1)]
+        sets += [sign * colsum + d for sign in (-1, 1) for d in (-1, 0, 1, 2)]
+        big = np.iinfo(np.int32)
+        sets += [np.full(o, v) for v in (window, window + 1, -window, -window - 1,
+                                         2**24, -(2**24), big.max, big.min)]
+        return [np.asarray(t).astype(np.int32) for t in sets]
+
+    @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
+    @pytest.mark.parametrize("hw", [(1, 1), (5, 1), (1, 2), (4, 2), (6, 7)])
+    @pytest.mark.parametrize("first", [True, False], ids=["conv1", "binconv"])
+    def test_matches_float_oracle(self, first, hw, flips):
+        rng = np.random.default_rng([first, *hw, len(flips)])
+        x, ws, pre = self._case(first, *hw, rng)
+        flip = {"none": np.zeros(12, bool), "all": np.ones(12, bool),
+                "mixed": np.arange(12) % 2 == 1}[flips]
+        for tau in self._taus(first, ws, pre, rng):
+            want = (pre >= tau) != flip
+            assert np.array_equal(self._run(first, x, ws, tau, flip), want), tau
 
 
 class TestEncoderForward:

@@ -29,6 +29,7 @@ from bitmotor.training import (
     _conv_weight_grad,
     _pool_bwd,
     _pool_fwd,
+    _pool_max,
     _resize_bwd,
     train_dcae,
 )
@@ -39,6 +40,28 @@ DTYPES = [np.float32, np.float64]
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def oracle_im2col(x, pad_value):
+    h, wd, cin = x.shape[-3:]
+    lead = x.shape[:-3]
+    # two passes, horizontal taps then vertical, so each copy moves runs of
+    # 3*C values; that is faster than nine copies of C when C is small. The
+    # horizontal pass reads x itself and writes the border, so no padded copy
+    # of x is made. Tap dx of output column j reads input column j + dx - 1.
+    rows = np.empty(lead + (h + 2, wd, 3, cin), x.dtype)
+    rows[..., 0, :, :, :] = pad_value
+    rows[..., -1, :, :, :] = pad_value
+    rows[..., 1:-1, :, 1, :] = x
+    rows[..., 1:-1, 1:, 0, :] = x[..., :-1, :]
+    rows[..., 1:-1, 0, 0, :] = pad_value
+    rows[..., 1:-1, :-1, 2, :] = x[..., 1:, :]
+    rows[..., 1:-1, -1, 2, :] = pad_value
+    rows = rows.reshape(lead + (h + 2, wd, 3 * cin))
+    cols = np.empty(lead + (h, wd, 3, 3 * cin), x.dtype)
+    for dy in range(3):
+        cols[..., dy, :] = rows[..., dy : dy + h, :, :]
+    return cols.reshape(lead + (h, wd, 9 * cin))
+
 
 def oracle_conv_bwd(dout, cols, w, with_bias=False):
     n, h, wd, o = dout.shape
@@ -205,6 +228,32 @@ def decoder_resizes():
 # primitives, bit for bit
 # ---------------------------------------------------------------------------
 
+class TestIm2col:
+    @pytest.mark.parametrize("pad_value", [0, -1, False])
+    @pytest.mark.parametrize("dtype", DTYPES + [np.bool_, np.uint8])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_matches_two_pass_copy(self, lead, dtype, pad_value):
+        rng = np.random.default_rng([len(lead), np.dtype(dtype).num, int(pad_value) + 1])
+        for h in (1, 2, 7):
+            for wd in (1, 2, 7):
+                shape = lead + (h, wd, 3)
+                if dtype is np.bool_:
+                    x = rng.random(shape) < 0.5
+                elif dtype is np.uint8:
+                    x = rng.integers(0, 256, shape, dtype=np.uint8)
+                else:
+                    x = signed_values(rng, shape, dtype)
+                try:
+                    want = oracle_im2col(x, pad_value)
+                except OverflowError:  # -1 does not fit a uint8 border
+                    with pytest.raises(OverflowError):
+                        im2col(x, pad_value)
+                    continue
+                got = im2col(x, pad_value)
+                assert got.flags.c_contiguous, (h, wd)
+                assert_bits_equal(got, want)
+
+
 class TestConvBackward:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("c", [3, 8, 64])
@@ -249,6 +298,20 @@ class TestPoolForward:
         assert (h, wd) == (h_old, wd_old)
         dout = rng.standard_normal(out.shape).astype(dtype)
         assert_bits_equal(_pool_bwd(dout, (idx, h, wd)), _pool_bwd(dout, (idx_old, h, wd)))
+
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("values", ["pm1", "signed"])
+    def test_eval_max_matches_pool_fwd(self, values, dtype):
+        rng = np.random.default_rng([7, values == "pm1"])
+        for shape in [(2, 7, 9, 3), (3, 15, 15, 8), (2, 31, 30, 64)]:
+            if values == "pm1":
+                x = np.where(rng.random(shape) < 0.5, -1.0, 1.0).astype(dtype)
+            else:  # mostly +-0.0, so ties between signed zeros are common
+                x = signed_values(rng, shape, dtype)
+                x[rng.random(shape) < 0.5] = 0.0
+                x[rng.random(shape) < 0.3] = -0.0
+            assert_bits_equal(_pool_max(x), _pool_fwd(x)[0])
 
 
 class TestResizeBackward:
