@@ -32,17 +32,10 @@ __all__ = [
 
 _WORD_BITS = 64
 
-if hasattr(np, "bitwise_count"):
-    def popcount(words):
-        """Per-element population count of a uint64 array."""
-        return np.bitwise_count(words)
-else:  # numpy < 2.0
-    _PC8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    def popcount(words):
-        """Per-element population count of a uint64 array (byte-LUT fallback)."""
-        b = np.ascontiguousarray(words).view(np.uint8)
-        return _PC8[b].reshape(*words.shape, 8).sum(axis=-1, dtype=np.uint64)
+def popcount(words):
+    """Per-element population count of a uint64 array."""
+    return np.bitwise_count(words)
 
 
 def nwords(n):

@@ -2,7 +2,9 @@
 layout of the float convs.
 
 Weights are stored as bits (``BitTensor``); this module decides how each
-stage computes on them. ``layers.PackedEncoder`` runs these kernels, and the
+stage computes on them. A kernel's weight array stands for +1 where it is
+> 0, so ``layers.PackedEncoder`` hands over the stored 0/1 bits and +-1
+floats build the same kernel. ``PackedEncoder`` runs these kernels, and the
 tests call them directly against float oracles.
 
 Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1, and
@@ -108,15 +110,16 @@ def weight_matrix(w):
 
 
 def _fold_conv(wsigns, tau, flip, bits):
-    """+-1 weights (O, C, 3, 3) and ``(tau, flip)`` -> ``(ww, t)`` of ``_conv_fire``.
+    """Weights (O, C, 3, 3) and ``(tau, flip)`` -> ``(ww, t)`` of ``_conv_fire``.
 
-    ``bits`` says the input is 0/1 bits standing for +-1 values; otherwise
-    it is pixels in [0, 255]. Flipped channels get negated weights and
-    ``1 - tau``; bit inputs move ``tau`` into the bit domain.
+    A weight stands for +1 where it is > 0, so +-1 values and 0/1 bits give
+    the same kernel. ``bits`` says the input is 0/1 bits standing for +-1
+    values; otherwise it is pixels in [0, 255]. Flipped channels get negated
+    weights and ``1 - tau``; bit inputs move ``tau`` into the bit domain.
     """
     flip = np.asarray(flip, np.bool_)
-    ww = weight_matrix(np.asarray(wsigns, np.float32))
-    ww *= np.where(flip, np.float32(-1.0), np.float32(1.0))
+    pos = (np.asarray(wsigns) > 0) != flip[:, None, None, None]
+    ww = weight_matrix(np.where(pos, np.float32(1.0), np.float32(-1.0)))
     tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
     bound = ww.shape[0]
     if bits:
@@ -145,7 +148,7 @@ def _conv_fire(x, ww, t):
 def conv1_forward(pixels, wsigns, tau, flip):
     """First-layer binary-weight conv on integer pixels.
 
-    pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3) of +-1;
+    pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3), +1 where > 0;
     tau/flip: per-channel thresholds in the integer pre-activation domain.
     Returns the (H, W, O) bool map of the binarized output.
     """

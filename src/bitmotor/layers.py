@@ -1,7 +1,9 @@
 """Forward ops for the hourglass network: float convolution, max pooling,
-fully-connected layers, batch normalization, BN->threshold folding, and the
-composite encoder/decoder forwards. The packed encoder is ``PackedEncoder``
-(over ``kernels``); ``encoder_forward`` is its float reference.
+fully-connected layers, batch normalization, BN->threshold folding, the
+nearest-neighbor resize and logistic of the decoder, and the binarized
+encoder. The packed encoder is ``PackedEncoder`` (over ``kernels``);
+``encoder_forward`` is its per-image float reference. The one float decoder
+is ``training.DcaeNet.reconstruct``, built from these ops.
 
 Feature maps are channels-last: (H, W, C) or batched (N, H, W, C). Flattening
 between the last conv stage and the first FC stage is the row-major ravel of
@@ -31,20 +33,6 @@ FOLD_VMAX = 1 << 24  # integer pre-activations are exact in float32 below this
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConvParams:
-    weights: np.ndarray  # (O, C, 3, 3) float32
-    bias: np.ndarray     # (O,) float32
-
-    def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
-        if self.weights.ndim != 4 or self.weights.shape[2:] != (3, 3):
-            raise ValueError(f"conv weights must be (O, C, 3, 3), got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("bias length must match out channels")
-
 
 @dataclass
 class BNParams:
@@ -83,18 +71,21 @@ class ThresholdParams:
 # float kernels
 # ---------------------------------------------------------------------------
 
-def conv2d_float(x, p: ConvParams, pad_value=0.0):
+def conv2d_float(x, weights, pad_value=0.0):
     """Size-preserving 3x3 cross-correlation, channels-last, float32.
 
-    Accepts (H, W, C) or (N, H, W, C). ``conv_pad_value`` gives the
-    pad_value that matches the input.
+    Accepts (H, W, C) or (N, H, W, C) and (O, C, 3, 3) weights.
+    ``conv_pad_value`` gives the pad_value that matches the input.
     """
     x = np.asarray(x, dtype=np.float32)
+    weights = np.asarray(weights, dtype=np.float32)
+    if weights.ndim != 4 or weights.shape[2:] != (3, 3):
+        raise ValueError(f"conv weights must be (O, C, 3, 3), got {weights.shape}")
     c = x.shape[-1]
-    if c != p.weights.shape[1]:
-        raise ValueError(f"input has {c} channels, weights expect {p.weights.shape[1]}")
-    out = kernels.im2col(x, pad_value).reshape(-1, 9 * c) @ kernels.weight_matrix(p.weights)
-    return out.reshape(*x.shape[:-1], -1) + p.bias
+    if c != weights.shape[1]:
+        raise ValueError(f"input has {c} channels, weights expect {weights.shape[1]}")
+    out = kernels.im2col(x, pad_value).reshape(-1, 9 * c) @ kernels.weight_matrix(weights)
+    return out.reshape(*x.shape[:-1], -1)
 
 
 def conv_pad_value(binary_input):
@@ -102,16 +93,13 @@ def conv_pad_value(binary_input):
     return -1.0 if binary_input else 0.0
 
 
-def fc_float(x, weights, bias=None):
-    """Affine map: x (..., I) @ weights (O, I)^T + bias."""
+def fc_float(x, weights):
+    """Linear map: x (..., I) @ weights (O, I)^T, in float32."""
     x = np.asarray(x, dtype=np.float32)
     weights = np.asarray(weights, dtype=np.float32)
     if x.shape[-1] != weights.shape[1]:
         raise ValueError(f"input dim {x.shape[-1]} != weight in-dim {weights.shape[1]}")
-    out = x @ weights.T
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float32)
-    return out
+    return x @ weights.T
 
 
 def maxpool(x):
@@ -152,13 +140,14 @@ def bn_forward(x, p: BNParams):
     return (x - p.mu) * bn_scale(p) + p.beta
 
 
-def fold_bn_sign(p: BNParams, vmax=FOLD_VMAX):
+def fold_bn_sign(p: BNParams):
     """Fold sign(bn_forward(v)) over integer v into (tau, flip) thresholds.
 
     flip=False: output +1 iff v >= tau; flip=True: output +1 iff v < tau.
     The flip-over point is located by bisection on the monotone float32 BN
     expression itself, so the thresholded output equals sign(bn_forward(v))
-    for every integer v in [-vmax, vmax], including rounding edge cases.
+    for every integer v in [-FOLD_VMAX, FOLD_VMAX], including rounding edge
+    cases.
     """
     if np.any(p.gamma == 0):
         raise ValueError("gamma must be nonzero to fold BN into a sign threshold")
@@ -170,8 +159,8 @@ def fold_bn_sign(p: BNParams, vmax=FOLD_VMAX):
         y = (v.astype(np.float32) - p.mu) * k + p.beta
         return np.where(flip, y < 0, y >= 0)
 
-    lo = np.full(p.channels, -vmax - 1, dtype=np.int64)  # virtual: pred False
-    hi = np.full(p.channels, vmax + 1, dtype=np.int64)   # virtual: pred True
+    lo = np.full(p.channels, -FOLD_VMAX - 1, dtype=np.int64)  # virtual: pred False
+    hi = np.full(p.channels, FOLD_VMAX + 1, dtype=np.int64)   # virtual: pred True
     while np.any(hi - lo > 1):
         mid = (lo + hi) >> 1
         t = pred(mid)
@@ -181,7 +170,7 @@ def fold_bn_sign(p: BNParams, vmax=FOLD_VMAX):
 
 
 # ---------------------------------------------------------------------------
-# encoder / decoder composites
+# the binarized encoder
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -197,25 +186,6 @@ class EncoderLayer:
 class EncoderParams:
     input_size: int
     layers: list
-
-
-@dataclass
-class DecoderLayer:
-    name: str
-    kind: str               # "fc" | "conv"
-    weights: np.ndarray     # float32; +-1-valued when binarized
-    bn: BNParams | None
-    binarized: bool = False
-    resize_to: int | None = None  # nearest-neighbor upsample before a conv
-
-
-@dataclass
-class DecoderParams:
-    layers: list
-    out_weights: np.ndarray  # (3, C, 3, 3) final conv
-    out_bias: np.ndarray     # (3,)
-    out_resize_to: int
-    bottleneck_hw: int = 7   # spatial size when leaving the FC stages
 
 
 def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
@@ -247,11 +217,11 @@ class PackedEncoder:
         self.stages = []
         for lay in enc.layers[1:]:
             t = fold_bn_sign(lay.bn)
-            wsigns = unpack(lay.weights)
+            wbits = lay.weights.bits().reshape(lay.weights.shape)
             if lay.kind == "conv":
-                k = kernels.BinConvKernel(wsigns, t.tau, t.flip)
+                k = kernels.BinConvKernel(wbits, t.tau, t.flip)
             else:
-                k = kernels.BinFcKernel(wsigns, t.tau, t.flip)
+                k = kernels.BinFcKernel(wbits, t.tau, t.flip)
             self.stages.append((lay.kind, k, lay.pool))
         self.feature_dim = enc.layers[-1].weights.shape[0]
 
@@ -308,8 +278,7 @@ def encoder_forward(img, enc: EncoderParams, path="reference"):
     for i, lay in enumerate(enc.layers):
         wsigns = unpack(lay.weights)
         if lay.kind == "conv":
-            p = ConvParams(wsigns, np.zeros(wsigns.shape[0], np.float32))
-            x = conv2d_float(x, p, pad_value=conv_pad_value(i > 0))
+            x = conv2d_float(x, wsigns, pad_value=conv_pad_value(i > 0))
         else:
             if spatial:
                 x = x.reshape(-1)
@@ -340,41 +309,6 @@ def logistic(x):
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def decoder_forward(feat, dec: DecoderParams):
-    """Expand a 64-wide feature vector back to an image in [0, 1].
-
-    Mirror of the encoder: two FC stages, reshape to the bottleneck map,
-    then nearest-neighbor upsample + 3x3 conv per stage, with a final
-    logistic squashing. Hidden activations are tanh, or sign for layers
-    trained in fully-binarized mode.
-    """
-    x = np.asarray(feat, dtype=np.float32)
-    if x.shape != (dec.layers[0].weights.shape[1],):
-        raise ValueError(
-            f"expected feature of length {dec.layers[0].weights.shape[1]}, got {x.shape}"
-        )
-    spatial = False
-    for lay in dec.layers:
-        w = lay.weights
-        if lay.kind == "fc":
-            x = fc_float(x, w)
-        else:
-            if not spatial:
-                c = w.shape[1]
-                x = x.reshape(dec.bottleneck_hw, dec.bottleneck_hw, c)
-                spatial = True
-            x = nn_resize(x, lay.resize_to)
-            x = conv2d_float(x, ConvParams(w, np.zeros(w.shape[0], np.float32)))
-        x = bn_forward(x, lay.bn)
-        x = sign_values(x) if lay.binarized else np.tanh(x)
-    if not spatial:
-        c = dec.out_weights.shape[1]
-        x = x.reshape(dec.bottleneck_hw, dec.bottleneck_hw, c)
-    x = nn_resize(x, dec.out_resize_to)
-    x = conv2d_float(x, ConvParams(dec.out_weights, dec.out_bias))
-    return logistic(x)
 
 
 def random_encoder_params(rng, input_size=PAPER_INPUT_SIZE, channels=PAPER_CHANNELS,

@@ -35,8 +35,6 @@ from .layers import (
     PAPER_FC1_OUT,
     PAPER_INPUT_SIZE,
     BNParams,
-    DecoderLayer,
-    DecoderParams,
     EncoderLayer,
     EncoderParams,
     conv_pad_value,
@@ -53,6 +51,7 @@ BN_MOMENTUM = 0.9  # running-statistics decay per training batch
 ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba defaults)
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_BATCH = 32  # images per encode call in extract_features
 
 SIZE_PRESETS = {
     "paper": (PAPER_INPUT_SIZE, PAPER_CHANNELS, PAPER_FC1_OUT),
@@ -63,15 +62,14 @@ SIZE_PRESETS = {
 class DivergenceError(RuntimeError):
     """Training loss went non-finite; carries the epoch (or step) index."""
 
-    def __init__(self, epoch, message=None):
-        super().__init__(message or f"loss diverged (NaN/Inf) at epoch {epoch}")
+    def __init__(self, epoch):
+        super().__init__(f"loss diverged (NaN/Inf) at epoch {epoch}")
         self.epoch = epoch
 
 
 @dataclass
 class TrainConfig:
     mode: str = "partial"
-    size: str = "desk"
     input_size: int = DESK_INPUT_SIZE
     channels: tuple = DESK_CHANNELS
     fc1_out: int = DESK_FC1_OUT
@@ -91,69 +89,8 @@ class TrainConfig:
         if size not in SIZE_PRESETS:
             raise ValueError(f"unknown size preset {size!r}")
         input_size, channels, fc1_out = SIZE_PRESETS[size]
-        cfg = TrainConfig(size=size, input_size=input_size, channels=channels, fc1_out=fc1_out)
+        cfg = TrainConfig(input_size=input_size, channels=channels, fc1_out=fc1_out)
         return replace(cfg, **overrides)
-
-
-_CONFIG_KEYS = {
-    "mode": str,
-    "size": str,
-    "input_size": int,
-    "fc1_out": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "seed": int,
-    "feature_dim": int,
-}
-
-
-def parse_train_config(text):
-    """Parse the key-value training config format (``key = value`` lines)."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "channels":
-            values[key] = tuple(int(v) for v in val.split(","))
-        elif key in _CONFIG_KEYS:
-            values[key] = _CONFIG_KEYS[key](val)
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    size = values.pop("size", None)
-    if size is not None and not {"input_size", "channels", "fc1_out"} & values.keys():
-        return TrainConfig.for_size(size, **values)
-    cfg = TrainConfig(**values) if size is None else TrainConfig(size=size, **values)
-    return cfg
-
-
-def format_train_config(cfg: TrainConfig):
-    lines = [
-        f"mode = {cfg.mode}",
-        f"size = {cfg.size}",
-        f"input_size = {cfg.input_size}",
-        "channels = " + ",".join(str(c) for c in cfg.channels),
-        f"fc1_out = {cfg.fc1_out}",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"learning_rate = {cfg.learning_rate}",
-        f"seed = {cfg.seed}",
-        f"feature_dim = {cfg.feature_dim}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def write_loss_curve(path, rows):
-    """Loss curve CSV: epoch, train_mse, val_mse."""
-    with open(path, "w") as f:
-        f.write("epoch,train_mse,val_mse\n")
-        for epoch, train_mse, val_mse in rows:
-            f.write(f"{epoch},{train_mse:.8g},{val_mse:.8g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +337,6 @@ class DcaeNet:
             return ste_backward(cache, dout)
         return dout * (1.0 - cache * cache)
 
-    def _eval_bn(self, name):
-        return BNParams(
-            self.params[name + "_gamma"],
-            self.params[name + "_beta"],
-            self.running[name + "_mu"],
-            self.running[name + "_var"],
-            eps=BN_EPS,
-        )
-
     def _running_bn(self, name, x):
         """Inference BN on the running statistics, in the net's dtype.
 
@@ -561,32 +489,6 @@ class DcaeNet:
             layers.append(EncoderLayer(spec.name, spec.kind, w, bn, spec.pool))
         return EncoderParams(input_size=self.cfg.input_size, layers=layers)
 
-    def decoder_params(self):
-        layers = []
-        for spec in self.dec_specs:
-            binar = spec.name in self.binarized
-            w = self.params[spec.name + "_w"]
-            layers.append(
-                DecoderLayer(
-                    spec.name,
-                    spec.kind,
-                    sign_values(w) if binar else w,
-                    self._eval_bn(spec.name),
-                    binarized=binar,
-                    resize_to=spec.resize_to,
-                )
-            )
-        o = self.out_spec
-        ow = self.params[o.name + "_w"]
-        out_bin = o.name in self.binarized
-        return DecoderParams(
-            layers=layers,
-            out_weights=sign_values(ow) if out_bin else ow,
-            out_bias=self.params[o.name + "_b"],
-            out_resize_to=o.resize_to,
-            bottleneck_hw=self.bottleneck_hw,
-        )
-
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -713,10 +615,10 @@ def _eval_mse(net, images, bs):
     return total / seen
 
 
-def extract_features(net: DcaeNet, images, batch_size=32):
+def extract_features(net: DcaeNet, images):
     """Eval-mode bottleneck features for uint8 or [0,1] images: (N, feature_dim)."""
     x = _to_unit(images, net.cfg.input_size)
     out = []
-    for start in range(0, len(x), batch_size):
-        out.append(net.encode(x[start : start + batch_size]))
+    for start in range(0, len(x), EVAL_BATCH):
+        out.append(net.encode(x[start : start + EVAL_BATCH]))
     return np.concatenate(out, axis=0)

@@ -7,14 +7,10 @@ from bitmotor import kernels
 from bitmotor.core import BitTensor, pack, sign_values, unpack
 from bitmotor.layers import (
     BNParams,
-    ConvParams,
-    DecoderLayer,
-    DecoderParams,
     PackedEncoder,
     ThresholdParams,
     bn_forward,
     conv2d_float,
-    decoder_forward,
     encoder_forward,
     encoder_geometry,
     fc_float,
@@ -42,7 +38,7 @@ def run_fc(xv, wv, t):
     return unpack(BitTensor((k.out_features,), k(pack(xv).words)))
 
 
-def naive_conv(x, w, b, pad=1, pad_value=0.0):
+def naive_conv(x, w, pad=1, pad_value=0.0):
     """Six-loop cross-correlation oracle, channels-last."""
     h, wd, c = x.shape
     o_ch = w.shape[0]
@@ -58,7 +54,7 @@ def naive_conv(x, w, b, pad=1, pad_value=0.0):
                     for kx in range(3):
                         for ic in range(c):
                             acc += xp[oy + ky, ox + kx, ic] * w[oc, ic, ky, kx]
-                out[oy, ox, oc] = acc + b[oc]
+                out[oy, ox, oc] = acc
     return out
 
 
@@ -92,6 +88,11 @@ def edge_bn(rng, c, window):
 EDGE_CHANNELS = (1, 3, 63, 64, 65, 130)
 
 
+def flip_set(flips, o):
+    """Per-channel flips for ``o`` channels: "none", "all" or "mixed"."""
+    return {"none": np.zeros(o, bool), "all": np.ones(o, bool), "mixed": np.arange(o) % 2 == 1}[flips]
+
+
 class TestConvFloat:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -99,39 +100,35 @@ class TestConvFloat:
         w = np.zeros((4, 4, 3, 3), np.float32)
         for i in range(4):
             w[i, i, 1, 1] = 1.0
-        out = conv2d_float(x, ConvParams(w, np.zeros(4, np.float32)))
+        out = conv2d_float(x, w)
         assert np.allclose(out, x)
-
-    def test_zero_weights_gives_bias(self):
-        x = np.ones((5, 5, 2), np.float32)
-        p = ConvParams(np.zeros((3, 2, 3, 3), np.float32), np.array([1.0, -2.0, 0.5], np.float32))
-        out = conv2d_float(x, p)
-        assert np.allclose(out, np.broadcast_to(p.bias, (5, 5, 3)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         for c, o in [(1, 1), (3, 5), (4, 2)]:
             x = rng.normal(size=(5, 5, c)).astype(np.float32)
             w = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
-            b = rng.normal(size=o).astype(np.float32)
-            got = conv2d_float(x, ConvParams(w, b))
-            want = naive_conv(x, w, b)
+            got = conv2d_float(x, w)
+            want = naive_conv(x, w)
             assert np.allclose(got, want, atol=1e-5)
 
     def test_minus_one_padding_matches_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.choice([-1.0, 1.0], size=(6, 6, 3)).astype(np.float32)
         w = rng.choice([-1.0, 1.0], size=(4, 3, 3, 3)).astype(np.float32)
-        got = conv2d_float(x, ConvParams(w, np.zeros(4, np.float32)), pad_value=-1.0)
-        want = naive_conv(x, w, np.zeros(4), pad=1, pad_value=-1.0)
+        got = conv2d_float(x, w, pad_value=-1.0)
+        want = naive_conv(x, w, pad=1, pad_value=-1.0)
         assert np.allclose(got, want, atol=1e-5)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            conv2d_float(
-                np.zeros((5, 5, 2), np.float32),
-                ConvParams(np.zeros((1, 3, 3, 3), np.float32), np.zeros(1, np.float32)),
-            )
+            conv2d_float(np.zeros((5, 5, 2), np.float32), np.zeros((1, 3, 3, 3), np.float32))
+
+    def test_weight_shape(self):
+        x = np.zeros((5, 5, 2), np.float32)
+        for shape in [(1, 2, 3), (1, 2, 5, 5), (1, 2, 3, 3, 1)]:
+            with pytest.raises(ValueError, match=r"\(O, C, 3, 3\)"):
+                conv2d_float(x, np.zeros(shape, np.float32))
 
 
 class TestMaxPool:
@@ -310,7 +307,7 @@ class TestConvBinary:
             ws = rng.choice([-1.0, 1.0], size=(c_out, c_in, 3, 3)).astype(np.float32)
             bn = random_bn(rng, c_out, scale=np.sqrt(9 * c_in))
             t = fold_bn_sign(bn)
-            pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad_value=-1.0)
+            pre = conv2d_float(xs, ws, pad_value=-1.0)
             want = sign_values(bn_forward(pre, bn))
             got = run_conv(xs, ws, t)
             assert np.array_equal(got, want), (c_in, c_out, s)
@@ -333,7 +330,7 @@ class TestConvBinary:
         bn = edge_bn(rng, c_out, 9 * c_in)
         t = fold_bn_sign(bn)
         assert np.any(np.abs(t.tau) > 9 * c_in)
-        pre = conv2d_float(xs, ConvParams(ws, np.zeros(c_out, np.float32)), pad_value=-1.0)
+        pre = conv2d_float(xs, ws, pad_value=-1.0)
         want = sign_values(bn_forward(pre, bn))
         got = run_conv(xs, ws, t)
         assert np.array_equal(got, want)
@@ -357,7 +354,7 @@ class TestPackedConvThresholds:
         else:
             x = rng.choice([-1.0, 1.0], size=(h, w, c_in)).astype(np.float32)
         ws = rng.choice([-1.0, 1.0], size=(12, c_in, 3, 3)).astype(np.float32)
-        pre = conv2d_float(x, ConvParams(ws, np.zeros(12, np.float32)), pad_value=0.0 if first else -1.0)
+        pre = conv2d_float(x, ws, pad_value=0.0 if first else -1.0)
         return x, ws, pre
 
     @staticmethod
@@ -387,11 +384,43 @@ class TestPackedConvThresholds:
     def test_matches_float_oracle(self, first, hw, flips):
         rng = np.random.default_rng([first, *hw, len(flips)])
         x, ws, pre = self._case(first, *hw, rng)
-        flip = {"none": np.zeros(12, bool), "all": np.ones(12, bool),
-                "mixed": np.arange(12) % 2 == 1}[flips]
+        flip = flip_set(flips, 12)
         for tau in self._taus(first, ws, pre, rng):
             want = (pre >= tau) != flip
             assert np.array_equal(self._run(first, x, ws, tau, flip), want), tau
+
+
+class TestKernelsFromBits:
+    """A kernel built from the stored 0/1 bits, as ``PackedEncoder`` builds
+    it, equals the kernel built from the +-1 floats, as perfbench's replay
+    builds it."""
+
+    @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 65), (3, 130)])
+    def test_conv_bits_match_signs(self, shape, flips):
+        o, c = shape
+        rng = np.random.default_rng([o, c, len(flips)])
+        ws = rng.choice([-1.0, 1.0], size=(o, c, 3, 3)).astype(np.float32)
+        bits = pack(ws).bits().reshape(ws.shape)
+        tau = rng.integers(-9 * c - 2, 9 * c + 3, o).astype(np.int32)
+        flip = flip_set(flips, o)
+        a = kernels.BinConvKernel(ws, tau, flip)
+        b = kernels.BinConvKernel(bits, tau, flip)
+        assert a.ww.dtype == b.ww.dtype == np.float32
+        assert np.array_equal(a.ww, b.ww) and np.array_equal(a.t, b.t)
+
+    @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 63), (12, 64), (3, 200)])
+    def test_fc_bits_match_signs(self, shape, flips):
+        o, n = shape
+        rng = np.random.default_rng([o, n, len(flips)])
+        ws = rng.choice([-1.0, 1.0], size=(o, n)).astype(np.float32)
+        bits = pack(ws).bits().reshape(ws.shape)
+        tau = rng.integers(-n - 2, n + 3, o).astype(np.int32)
+        flip = flip_set(flips, o)
+        a = kernels.BinFcKernel(ws, tau, flip)
+        b = kernels.BinFcKernel(bits, tau, flip)
+        assert np.array_equal(a.wv, b.wv) and np.array_equal(a.max_mismatch, b.max_mismatch)
 
 
 class TestEncoderForward:
@@ -480,56 +509,6 @@ class TestEncoderForward:
         assert spatial == [142, 70, 34, 16]
         assert stages[-2][3] == 12544 and stages[-2][4] == 1024
         assert stages[-1][3] == 1024 and stages[-1][4] == 64
-
-
-def tiny_decoder(rng, out_size=17, zero=False):
-    # bottleneck 3x3x8 mirror with two upsample convs
-    def w(shape):
-        return np.zeros(shape, np.float32) if zero else rng.normal(0, 0.3, shape).astype(np.float32)
-
-    def bn(c):
-        return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
-
-    layers = [
-        DecoderLayer("dfc1", "fc", w((32, 64)), bn(32)),
-        DecoderLayer("dfc2", "fc", w((3 * 3 * 8, 32)), bn(72)),
-        DecoderLayer("dconv1", "conv", w((4, 8, 3, 3)), bn(4), resize_to=8),
-    ]
-    return DecoderParams(
-        layers=layers,
-        out_weights=w((3, 4, 3, 3)),
-        out_bias=np.zeros(3, np.float32),
-        out_resize_to=out_size,
-        bottleneck_hw=3,
-    )
-
-
-class TestDecoderForward:
-    def test_shape_and_range(self):
-        rng = np.random.default_rng(13)
-        dec = tiny_decoder(rng)
-        feat = rng.choice([-1.0, 1.0], size=64).astype(np.float32)
-        out = decoder_forward(feat, dec)
-        assert out.shape == (17, 17, 3)
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    def test_zero_weights_give_half(self):
-        dec = tiny_decoder(np.random.default_rng(14), zero=True)
-        out = decoder_forward(np.ones(64, np.float32), dec)
-        assert np.allclose(out, 0.5)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(15)
-        dec = tiny_decoder(rng)
-        feat = rng.choice([-1.0, 1.0], size=64).astype(np.float32)
-        a = decoder_forward(feat, dec)
-        b = decoder_forward(feat, dec)
-        assert np.array_equal(a, b)
-
-    def test_wrong_feature_length(self):
-        dec = tiny_decoder(np.random.default_rng(16))
-        with pytest.raises(ValueError):
-            decoder_forward(np.ones(32, np.float32), dec)
 
 
 class TestNnResize:

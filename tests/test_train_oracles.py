@@ -395,7 +395,7 @@ def _oracle_patches(monkeypatch):
 
 
 def _seeded_run(mode):
-    cfg = TrainConfig(mode=mode, size="desk", input_size=33, channels=(4, 8, 8), fc1_out=32,
+    cfg = TrainConfig(mode=mode, input_size=33, channels=(4, 8, 8), fc1_out=32,
                       feature_dim=16, epochs=2, batch_size=6, seed=3)
     rng = np.random.default_rng(7)
     imgs = rng.integers(0, 256, (12, 33, 33, 3), dtype=np.uint8)
