@@ -7,22 +7,33 @@ stage computes on them. A kernel's weight array stands for +1 where it is
 floats build the same kernel. ``PackedEncoder`` runs these kernels, and the
 tests call them directly against float oracles.
 
-Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1, and
-the first conv takes the raw 8-bit pixels. Both run ``_conv_fire``: it lays
-out the horizontal taps of each pixel once, as rows ``(H+2, W, 3*C)`` with a
-zero border, cast once to float32. The 3x3 conv is then three sgemms, one per
-vertical tap ``dy``, of the contiguous row-shifted view
-``rows[dy*W : dy*W + H*W]`` against the ``dy`` block of ``weight_matrix``,
-accumulated in place. No 9*C-wide column copy is made; this is the split
-over kernel taps of low-memory GEMM convolution (Anderson et al. 2017,
-arXiv 1709.03395). Each output channel fires on one compare, ``pre >= t``.
+Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1.
+The binary convs run ``_conv_fire``: it lays out the horizontal taps of each
+pixel once, as rows ``(H+2, W, 3*C)`` with a zero border, cast once to
+float32. The 3x3 conv is then three sgemms, one per vertical tap ``dy``, of
+the contiguous row-shifted view ``rows[dy*W : dy*W + H*W]`` against the
+``dy`` block of ``weight_matrix``, accumulated in place. No 9*C-wide column
+copy is made; this is the split over kernel taps of low-memory GEMM
+convolution (Anderson et al. 2017, arXiv 1709.03395). Each output channel
+fires on one compare, ``pre >= t``.
 
-The split is exact. Every product is an integer and every partial sum is an
-integer of magnitude below 2**24, which float32 represents exactly, so no
+The first conv, ``Conv1Kernel``, reads the raw 8-bit pixels, and with C = 3
+that split would give sgemms of K = 9 whose cost is dwarfed by building the
+3-value tap runs and adding up a wide pre-activation. Instead the pixels are
+copied once into zero-padded float32 planes ``(C, H+2, W+2)``, nine plane
+slices fill columns ``(3, 3, C, H, W)`` in the (dy, dx, c) row order of
+``weight_matrix``, and one sgemm with K = 9*C gives the output channels as
+rows: ``pre = wt @ cols``, ``(O, H*W)``. Each channel fires on one compare
+along its row. The returned ``(H, W, O)`` map is a transposed view of that
+channel-planar result; ``pool_or``, ``BinConvKernel`` and ``flat_words``
+take it like any other ``(H, W, C)`` map, so no transposing copy is made.
+
+Both forms are exact. Every product is an integer and every partial sum is
+an integer of magnitude below 2**24, which float32 represents exactly, so no
 summation order, blocking, fused multiply-add inside BLAS or split into
 three products can change a result: binary convs sum at most 9*256 = 2304
-terms of 0 or +-1 at the paper geometry, and the first conv sums at most
-27*255 = 6885.
+terms of 0 or +-1 at the paper geometry, and the first conv reaches at most
+|pre| <= 27*255 = 6885.
 
 Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
 ``layers.fold_bn_sign``) into the single threshold ``t`` at set-up:
@@ -105,7 +116,7 @@ def weight_matrix(w):
 
 
 # ---------------------------------------------------------------------------
-# conv stages: three sgemms over row-shifted tap rows
+# conv stages
 # ---------------------------------------------------------------------------
 
 
@@ -131,7 +142,10 @@ def _fold_conv(wsigns, tau, flip, bits):
 
 
 def _conv_fire(x, ww, t):
-    """(H, W, C) bits or pixels -> (H, W, O) bool map of ``pre >= t``."""
+    """(H, W, C) bool map -> (H, W, O) bool map of ``pre >= t``.
+
+    Takes bit maps only; the pixels of the first conv go to ``Conv1Kernel``.
+    """
     h, wd, c = x.shape
     rows = np.zeros((h + 2, wd, 3, c), x.dtype)
     rows[1:-1, :, 1] = x
@@ -145,14 +159,43 @@ def _conv_fire(x, ww, t):
     return (pre >= t).reshape(h, wd, -1)
 
 
+class Conv1Kernel:
+    """Folded weight rows and thresholds for the first conv, which reads pixels."""
+
+    def __init__(self, wsigns, tau, flip):
+        o_ch, cin, kh, kw = wsigns.shape
+        if (kh, kw) != (3, 3):
+            raise ValueError("conv1 kernels are 3x3")
+        self.out_channels = o_ch
+        self.in_channels = cin
+        ww, t = _fold_conv(wsigns, tau, flip, bits=False)
+        self.wt = np.ascontiguousarray(ww.T)
+        self.t = t[:, None]
+
+    def __call__(self, pixels):
+        """pixels: (H, W, C) integers in [0, 255] -> (H, W, O) bool map."""
+        if pixels.ndim != 3 or pixels.shape[2] != self.in_channels:
+            raise ValueError(f"expected an (H, W, {self.in_channels}) image, got {pixels.shape}")
+        h, wd, c = pixels.shape
+        planes = np.zeros((c, h + 2, wd + 2), np.float32)
+        planes[:, 1:-1, 1:-1] = pixels.transpose(2, 0, 1)
+        cols = np.empty((3, 3, c, h, wd), np.float32)
+        for dy in range(3):
+            for dx in range(3):
+                cols[dy, dx] = planes[:, dy : dy + h, dx : dx + wd]
+        pre = self.wt @ cols.reshape(9 * c, h * wd)
+        return (pre >= self.t).reshape(-1, h, wd).transpose(1, 2, 0)
+
+
 def conv1_forward(pixels, wsigns, tau, flip):
-    """First-layer binary-weight conv on integer pixels.
+    """First-layer binary-weight conv on integer pixels, folded on every call.
 
     pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3), +1 where > 0;
     tau/flip: per-channel thresholds in the integer pre-activation domain.
-    Returns the (H, W, O) bool map of the binarized output.
+    Returns the (H, W, O) bool map of the binarized output. ``PackedEncoder``
+    folds its ``Conv1Kernel`` once instead.
     """
-    return _conv_fire(pixels, *_fold_conv(wsigns, tau, flip, bits=False))
+    return Conv1Kernel(wsigns, tau, flip)(pixels)
 
 
 class BinConvKernel:
@@ -180,9 +223,10 @@ def pool_or(x):
         raise ValueError("pool input smaller than kernel")
     ho = (h - 3) // 2 + 1
     wo = (wd - 3) // 2 + 1
-    # separable: OR along W, then along H
-    rows = x[:, 0 : 2 * wo - 1 : 2] | x[:, 1 : 2 * wo : 2] | x[:, 2 : 2 * wo + 1 : 2]
-    return rows[0 : 2 * ho - 1 : 2] | rows[1 : 2 * ho : 2] | rows[2 : 2 * ho + 1 : 2]
+    # separable: OR along H, then along W; the first pass reads whole rows
+    # and halves H before the strided second pass
+    cols = x[0 : 2 * ho - 1 : 2] | x[1 : 2 * ho : 2] | x[2 : 2 * ho + 1 : 2]
+    return cols[:, 0 : 2 * wo - 1 : 2] | cols[:, 1 : 2 * wo : 2] | cols[:, 2 : 2 * wo + 1 : 2]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def test_step_flops_is_a_positive_int():
 
 
 def test_deployed_path_builds_no_conv_columns(monkeypatch):
-    # the packed convs multiply row-shifted tap rows; only the trainer and
-    # the float reference lay out 9*C-wide im2col columns
+    # conv1 fills its columns from slices of pixel planes and the binary
+    # convs multiply row-shifted tap rows; only the trainer and the float
+    # reference call im2col
     rng = np.random.default_rng(1)
     enc = random_encoder_params(rng, input_size=17, channels=(4, 8), fc1_out=16)
     img = rng.integers(0, 256, (17, 17, 3), dtype=np.uint8)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitmotor import kernels
+from bitmotor import kernels, layers
 from bitmotor.core import BitTensor, pack, sign_values, unpack
 from bitmotor.layers import (
     BNParams,
@@ -410,6 +410,22 @@ class TestKernelsFromBits:
         assert np.array_equal(a.ww, b.ww) and np.array_equal(a.t, b.t)
 
     @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (32, 3), (3, 4)])
+    def test_conv1_bits_match_signs(self, shape, flips):
+        o, c = shape
+        rng = np.random.default_rng([o, c, len(flips), 1])
+        ws = rng.choice([-1.0, 1.0], size=(o, c, 3, 3)).astype(np.float32)
+        bits = pack(ws).bits().reshape(ws.shape)
+        window = 9 * c * 255
+        tau = rng.integers(-window - 2, window + 3, o).astype(np.int32)
+        flip = flip_set(flips, o)
+        a = kernels.Conv1Kernel(ws, tau, flip)
+        b = kernels.Conv1Kernel(bits, tau, flip)
+        assert a.wt.dtype == b.wt.dtype == a.t.dtype == np.float32
+        assert a.wt.shape == (o, 9 * c) and a.t.shape == (o, 1)
+        assert np.array_equal(a.wt, b.wt) and np.array_equal(a.t, b.t)
+
+    @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
     @pytest.mark.parametrize("shape", [(1, 1), (5, 63), (12, 64), (3, 200)])
     def test_fc_bits_match_signs(self, shape, flips):
         o, n = shape
@@ -421,6 +437,33 @@ class TestKernelsFromBits:
         a = kernels.BinFcKernel(ws, tau, flip)
         b = kernels.BinFcKernel(bits, tau, flip)
         assert np.array_equal(a.wv, b.wv) and np.array_equal(a.max_mismatch, b.max_mismatch)
+
+
+class TestChannelPlanarMaps:
+    """``Conv1Kernel`` returns a transposed view of channel-planar memory;
+    every kernel that takes an (H, W, C) map gives the same output on such a
+    view as on its contiguous copy."""
+
+    @pytest.mark.parametrize("c", [1, 3, 8, 65])
+    @pytest.mark.parametrize("hw", [(3, 3), (4, 7), (6, 6), (9, 8)])
+    def test_view_matches_contiguous_copy(self, hw, c):
+        rng = np.random.default_rng([*hw, c])
+        view = (rng.random((c, *hw)) < 0.5).transpose(1, 2, 0)
+        copy = np.ascontiguousarray(view)
+        assert (c == 1 or not view.flags.c_contiguous) and np.array_equal(view, copy)
+        ws = rng.choice([-1.0, 1.0], size=(5, c, 3, 3)).astype(np.float32)
+        conv = kernels.BinConvKernel(ws, rng.integers(-9 * c, 9 * c + 1, 5), flip_set("mixed", 5))
+        assert np.array_equal(conv(view), conv(copy))
+        assert np.array_equal(kernels.pool_or(view), kernels.pool_or(copy))
+        assert np.array_equal(kernels.flat_words(view, c), kernels.flat_words(copy, c))
+
+    def test_conv1_output_is_channel_planar(self):
+        rng = np.random.default_rng(14)
+        ws = rng.choice([-1.0, 1.0], size=(8, 3, 3, 3)).astype(np.float32)
+        k = kernels.Conv1Kernel(ws, rng.integers(-2000, 2000, 8), flip_set("mixed", 8))
+        out = k(rng.integers(0, 256, (9, 6, 3), dtype=np.uint8))
+        assert out.shape == (9, 6, 8)
+        assert out.transpose(2, 0, 1).flags.c_contiguous
 
 
 class TestEncoderForward:
@@ -444,6 +487,23 @@ class TestEncoderForward:
             fp = pe.features(img)
             fr = encoder_forward(img, enc, path="reference")
             assert np.array_equal(fp, fr)
+
+    def test_frame_path_folds_nothing(self, monkeypatch):
+        # every fold happens in PackedEncoder(enc); a frame only runs kernels
+        rng = np.random.default_rng(15)
+        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
+        pe = PackedEncoder(enc)
+        want = encoder_forward(img, enc)
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("folded on the frame path")
+
+        monkeypatch.setattr(kernels, "_fold_conv", no_fold)
+        monkeypatch.setattr(layers, "fold_bn_sign", no_fold)
+        assert np.array_equal(pe.features(img), want)
+        with pytest.raises(AssertionError, match="frame path"):
+            PackedEncoder(enc)  # the patch is live
 
     def test_paper_geometry_equivalence(self):
         rng = np.random.default_rng(11)
