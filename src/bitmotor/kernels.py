@@ -1,11 +1,13 @@
 """Compute kernels for the packed binarized encoder, and the 3x3 conv column
 layout of the float convs.
 
-Weights are stored as bits (``BitTensor``); this module decides how each
-stage computes on them. A kernel's weight array stands for +1 where it is
-> 0, so ``layers.PackedEncoder`` hands over the stored 0/1 bits and +-1
-floats build the same kernel. ``PackedEncoder`` runs these kernels, and the
-tests call them directly against float oracles.
+Encoder weights are stored as bool arrays, True for +1; this module decides
+how each stage computes on them. A kernel's weight array stands for +1 where
+it is greater than a zero of its own dtype (``_plus``), so the stored bools
+and +-1 floats build the same kernel. The zero has the weights' dtype
+because NumPy compares a bool array with the int 0 as int64, about 4x
+slower on fc1's 12.8 M paper weights. ``layers.PackedEncoder`` runs these
+kernels, and the tests call them directly against float oracles.
 
 Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1.
 The binary convs run ``_conv_fire``: it lays out the horizontal taps of each
@@ -59,14 +61,15 @@ do not.
 
 Fully-connected stages stay XNOR-popcount on packed words: the flattened
 conv map is packed row-major into ``ceil(n/64)`` uint64 words, bit i at
-position ``i & 63`` of word ``i >> 6`` with zero tail bits (the ``BitTensor``
-layout), and each output neuron counts mismatches against its packed weight
-row. fc1 at paper geometry has 1024 x 12544 weights: 1.6 MB as packed words,
-but 51 MB as a float32 matrix that a matrix-vector product would have to
-stream on every frame, while the popcount takes well under a millisecond.
-Flipped neurons negate their weight row, as above. A +-1 dot product of
-length ``n`` is ``n - 2*mismatches``, and the zero tails of both operands
-XOR to zero, so a neuron fires where ``mismatches <= (n - tau) // 2``.
+position ``i & 63`` of word ``i >> 6`` with zero tail bits
+(``core.pack_channel_words``), and each output neuron counts mismatches
+against its packed weight row. fc1 at paper geometry has 1024 x 12544
+weights: 1.6 MB as packed words, but 51 MB as a float32 matrix that a
+matrix-vector product would have to stream on every frame, while the
+popcount takes well under a millisecond. Flipped neurons negate their
+weight row, as above. A +-1 dot product of length ``n`` is
+``n - 2*mismatches``, and the zero tails of both operands XOR to zero, so a
+neuron fires where ``mismatches <= (n - tau) // 2``.
 """
 
 from __future__ import annotations
@@ -120,16 +123,21 @@ def weight_matrix(w):
 # ---------------------------------------------------------------------------
 
 
+def _plus(w):
+    """True where a weight stands for +1: bools as stored, or +-1 values."""
+    return w > w.dtype.type(0)
+
+
 def _fold_conv(wsigns, tau, flip, bits):
     """Weights (O, C, 3, 3) and ``(tau, flip)`` -> ``(ww, t)`` of ``_conv_fire``.
 
-    A weight stands for +1 where it is > 0, so +-1 values and 0/1 bits give
-    the same kernel. ``bits`` says the input is 0/1 bits standing for +-1
-    values; otherwise it is pixels in [0, 255]. Flipped channels get negated
-    weights and ``1 - tau``; bit inputs move ``tau`` into the bit domain.
+    Bool weights and +-1 values give the same kernel (``_plus``). ``bits``
+    says the input is 0/1 bits standing for +-1 values; otherwise it is
+    pixels in [0, 255]. Flipped channels get negated weights and
+    ``1 - tau``; bit inputs move ``tau`` into the bit domain.
     """
     flip = np.asarray(flip, np.bool_)
-    pos = (np.asarray(wsigns) > 0) != flip[:, None, None, None]
+    pos = _plus(wsigns) != flip[:, None, None, None]
     ww = weight_matrix(np.where(pos, np.float32(1.0), np.float32(-1.0)))
     tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
     bound = ww.shape[0]
@@ -190,7 +198,7 @@ class Conv1Kernel:
 def conv1_forward(pixels, wsigns, tau, flip):
     """First-layer binary-weight conv on integer pixels, folded on every call.
 
-    pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3), +1 where > 0;
+    pixels: (H, W, C) integers in [0, 255]; wsigns: (O, C, 3, 3), as ``_plus``;
     tau/flip: per-channel thresholds in the integer pre-activation domain.
     Returns the (H, W, O) bool map of the binarized output. ``PackedEncoder``
     folds its ``Conv1Kernel`` once instead.
@@ -243,7 +251,7 @@ class BinFcKernel:
         self.in_features = in_dim
         flip = np.asarray(flip, np.bool_)
         # the +1 bits of the negated row of a flipped neuron are its -1 bits
-        bits = (wsigns > 0) != flip[:, None]
+        bits = _plus(wsigns) != flip[:, None]
         self.wv = np.ascontiguousarray(pack_channel_words(bits.view(np.uint8)))
         tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
         self.max_mismatch = np.clip((in_dim - tau) // 2, -1, in_dim + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BitTensor, as_float, pack, sign_values, unpack
+from .core import as_float, sign_values, unpack
 
 PAPER_INPUT_SIZE = 142
 PAPER_CHANNELS = (32, 64, 128, 256)
@@ -177,9 +177,15 @@ def fold_bn_sign(p: BNParams):
 class EncoderLayer:
     name: str
     kind: str              # "conv" | "fc"
-    weights: BitTensor     # (O, C, 3, 3) or (O, I)
+    weights: np.ndarray    # bool (O, C, 3, 3) or (O, I), True for +1
     bn: BNParams
     pool: bool = False
+
+    def __post_init__(self):
+        # -1.0 is truthy, so +-1 floats would read as all +1
+        dtype = getattr(self.weights, "dtype", type(self.weights).__name__)
+        if not isinstance(self.weights, np.ndarray) or dtype != np.bool_:
+            raise TypeError(f"layer {self.name}: weights must be a bool ndarray, got {dtype}")
 
 
 @dataclass
@@ -204,7 +210,7 @@ def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
 
 
 class PackedEncoder:
-    """Inference pipeline over bit-stored weights and folded thresholds."""
+    """Inference pipeline over bool weights and folded thresholds."""
 
     def __init__(self, enc: EncoderParams):
         self.input_size = enc.input_size
@@ -215,17 +221,14 @@ class PackedEncoder:
         t1 = fold_bn_sign(first.bn)
         self.conv1_tau, self.conv1_flip = t1.tau, t1.flip
         self.conv1_pool = first.pool
-        self.conv1 = kernels.Conv1Kernel(
-            first.weights.bits().reshape(first.weights.shape), self.conv1_tau, self.conv1_flip
-        )
+        self.conv1 = kernels.Conv1Kernel(first.weights, self.conv1_tau, self.conv1_flip)
         self.stages = []
         for lay in enc.layers[1:]:
             t = fold_bn_sign(lay.bn)
-            wbits = lay.weights.bits().reshape(lay.weights.shape)
             if lay.kind == "conv":
-                k = kernels.BinConvKernel(wbits, t.tau, t.flip)
+                k = kernels.BinConvKernel(lay.weights, t.tau, t.flip)
             else:
-                k = kernels.BinFcKernel(wbits, t.tau, t.flip)
+                k = kernels.BinFcKernel(lay.weights, t.tau, t.flip)
             self.stages.append((lay.kind, k, lay.pool))
         self.feature_dim = enc.layers[-1].weights.shape[0]
 
@@ -323,7 +326,7 @@ def random_encoder_params(rng, input_size=PAPER_INPUT_SIZE, channels=PAPER_CHANN
         input_size, channels, fc1_out, feature_dim
     ):
         shape = (c_out, c_in, 3, 3) if kind == "conv" else (c_out, c_in)
-        w = pack(rng.choice([-1.0, 1.0], size=shape).astype(np.float32))
+        w = rng.choice([-1.0, 1.0], size=shape) > 0
         window = c_in * 9 if kind == "conv" else c_in
         scale = 255.0 * window if name == "conv1" else float(window)
         bn = BNParams(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import pack, sign_values, ste_backward
+from .core import sign_values, ste_backward
 from .kernels import im2col, weight_matrix
 from .layers import (
     DESK_CHANNELS,
@@ -475,7 +475,7 @@ class DcaeNet:
                     f"layer {spec.name} is not binarized in mode={self.cfg.mode!r}; "
                     "the packed encoder requires a fully binarized encoder"
                 )
-            w = pack(sign_values(self.params[spec.name + "_w"]))
+            w = self.params[spec.name + "_w"] >= 0  # sign_values' rule: 0 is +1
             mu = self.running[spec.name + "_mu"]
             var = self.running[spec.name + "_var"]
             eps = BN_EPS

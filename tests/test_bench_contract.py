@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitmotor import kernels
+from bitmotor import core, kernels
 from bitmotor.layers import PackedEncoder, encoder_forward, random_encoder_params
-from bitmotor.training import DcaeNet, TrainConfig
+from bitmotor.training import DcaeNet, TrainConfig, extract_features, train_dcae
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -38,6 +38,30 @@ def test_replayed_encoder_equals_packed_and_reference():
     assert {"layers.fold_bn_sign_ms", "kernels.pack_weights_ms"} <= tracer.per_root("setup").keys()
     stages = {f"kernels.{s}_ms" for s in ("conv1", "conv2", "fc1", "fc2", "pool", "flatten")}
     assert stages <= tracer.per_root("frame").keys()
+
+
+def test_replay_unpacks_the_stored_weights():
+    # replay_setup builds its kernels from core.unpack(lay.weights): +1.0
+    # where the stored bool is True, -1.0 elsewhere
+    rng = np.random.default_rng(2)
+    imgs = rng.integers(0, 256, (8, 16, 16, 3), dtype=np.uint8)
+    cfg = TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64,
+                      epochs=1, batch_size=8)
+    net = train_dcae(imgs, cfg).net
+    for spec in net.enc_specs:
+        net.params[spec.name + "_w"].flat[:2] = (0.0, -0.0)  # sign(0) is +1 either way
+    trained = net.encoder_params()
+    for enc in (random_encoder_params(rng, input_size=17, channels=(4, 8), fc1_out=16), trained):
+        for lay in enc.layers:
+            want = np.where(lay.weights, 1, -1).astype(np.float32)
+            got = core.unpack(lay.weights)
+            assert got.dtype == np.float32 and np.array_equal(got, want), lay.name
+        loops.replay_setup(enc, Tracer())
+    for lay in trained.layers:
+        assert np.all(core.unpack(lay.weights).flat[:2] == 1.0), lay.name
+    pe = PackedEncoder(trained)
+    for img, feat in zip(imgs, extract_features(net, imgs)):
+        assert np.array_equal(pe.features(img), feat)
 
 
 def test_step_flops_is_a_positive_int():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitmotor.core import BitTensor, pack, popcount, sign_values, ste_backward, unpack
+from bitmotor.core import (
+    nwords,
+    pack_channel_words,
+    popcount,
+    sign_values,
+    ste_backward,
+    unpack,
+    unpack_channel_words,
+)
 
 
 def naive_dot(a, b):
@@ -15,18 +23,23 @@ def naive_dot(a, b):
     return total
 
 
-def xnor_popcount_dot(a, b):
-    """Integer dot product of two +-1 BitTensors of equal logical length.
+def words(v):
+    """+-1 vector -> its packed words, bit 1 for +1."""
+    return pack_channel_words(np.asarray(v) > 0)
+
+
+def xnor_popcount_dot(a, b, n):
+    """Integer dot product of two +-1 vectors of length n, as packed words.
 
     Computed as 2 * popcount(XNOR masked to n bits) - n, which equals
     sum(a_i * b_i) under the bit encoding of ``bitmotor.core``.
     """
-    if not isinstance(a, BitTensor) or not isinstance(b, BitTensor):
-        raise TypeError("xnor_popcount_dot() expects BitTensors")
-    n = a.nbits
-    if n != b.nbits:
-        raise ValueError(f"length mismatch: {n} vs {b.nbits}")
-    x = np.bitwise_xor(a.words, b.words)
+    for w in (a, b):
+        if w.shape != (nwords(n),):
+            raise ValueError(f"{n} bits need {nwords(n)} words, got {w.shape}")
+        if n & 63 and int(w[-1]) >> (n & 63):
+            raise ValueError(f"bits set past length {n}")
+    x = np.bitwise_xor(a, b)
     np.bitwise_not(x, out=x)
     tail = n & 63
     if tail:
@@ -37,28 +50,26 @@ def xnor_popcount_dot(a, b):
 
 class TestSign:
     def test_zero_maps_to_plus_one(self):
-        assert unpack(pack(sign_values(np.array([0.0], np.float32)))).tolist() == [1.0]
+        x = np.array([0.0, -0.0], np.float32)
+        assert sign_values(x).tolist() == [1.0, 1.0]
+        assert unpack(x >= 0).tolist() == [1.0, 1.0]
 
     def test_case_split(self):
-        out = unpack(pack(sign_values(np.array([0.5, -2.0, 0.0], np.float32))))
-        assert out.tolist() == [1.0, -1.0, 1.0]
+        x = np.array([0.5, -2.0, 0.0], np.float32)
+        assert sign_values(x).tolist() == [1.0, -1.0, 1.0]
+        assert np.array_equal(unpack(x >= 0), sign_values(x))
 
     def test_negative_image_shape_preserved(self):
         x = np.full((142, 142, 3), -0.001, np.float32)
-        b = pack(sign_values(x))
-        assert b.shape == (142, 142, 3)
-        assert np.all(unpack(b) == -1.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            pack(np.array([np.nan], np.float32))
-        with pytest.raises(ValueError):
-            pack([np.inf])
+        out = unpack(x >= 0)
+        assert out.shape == (142, 142, 3) and out.dtype == np.float32
+        assert np.all(out == -1.0)
+        assert np.array_equal(sign_values(x), out)
 
     def test_sign_values_matches_packed(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=257).astype(np.float32)
-        assert np.array_equal(sign_values(x), unpack(BitTensor.from_bits(x >= 0, x.shape)))
+        assert np.array_equal(sign_values(x), unpack(x >= 0))
 
 
 class TestSte:
@@ -90,73 +101,61 @@ class TestSte:
 
 class TestPack:
     def test_three_bits(self):
-        b = pack(np.array([1.0, -1.0, 1.0], np.float32))
-        assert b.words.shape == (1,)
-        assert int(b.words[0]) == 0b101
-        assert b.nbits == 3
+        w = pack_channel_words(np.array([True, False, True]))
+        assert w.shape == (1,) and w.dtype == np.uint64
+        assert int(w[0]) == 0b101
+        assert unpack_channel_words(w, 3).tolist() == [1, 0, 1]
 
     def test_65_elements_two_words(self):
-        x = np.ones(65, np.float32)
-        b = pack(x)
-        assert b.words.shape == (2,)
-        assert int(b.words[1]) == 1  # exactly one meaningful bit
-
-    def test_rejects_non_sign_values(self):
-        with pytest.raises(ValueError):
-            pack(np.array([1.0, 0.5], np.float32))
+        w = pack_channel_words(np.ones(65, bool))
+        assert w.shape == (2,)
+        assert int(w[1]) == 1  # exactly one meaningful bit
 
     def test_roundtrip_12544(self):
         rng = np.random.default_rng(7)
         x = rng.choice([-1.0, 1.0], size=12544).astype(np.float32).reshape(7, 7, 256)
-        assert np.array_equal(unpack(pack(x)), x)
+        w = pack_channel_words(x.reshape(-1) > 0)
+        assert w.shape == (196,)
+        assert np.array_equal(unpack(unpack_channel_words(w, 12544)).reshape(x.shape), x)
 
     @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, n, seed):
         rng = np.random.default_rng(seed)
-        x = rng.choice([-1.0, 1.0], size=n).astype(np.float32)
-        b = pack(x)
-        assert np.array_equal(unpack(b), x)
+        x = rng.choice([-1.0, 1.0], size=(3, n)).astype(np.float32)
+        w = words(x)
+        assert w.shape == (3, nwords(n))
+        assert np.array_equal(unpack(unpack_channel_words(w, n)), x)
         tail = n & 63
         if tail:
-            assert int(b.words[-1]) >> tail == 0  # zero tail invariant
+            assert np.all(w[:, -1] >> np.uint64(tail) == 0)  # zero tail invariant
 
     def test_sign_pack_composition(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=100).astype(np.float32)
-        assert np.array_equal(unpack(pack(sign_values(x))), sign_values(x))
-
-
-class TestBitTensor:
-    def test_bad_word_count(self):
-        with pytest.raises(ValueError):
-            BitTensor((65,), np.zeros(1, np.uint64))
-
-    def test_nonzero_tail_rejected(self):
-        words = np.array([0, 0b10], np.uint64)  # bit 65 set, but nbits=65
-        with pytest.raises(ValueError):
-            BitTensor((65,), words)
+        w = pack_channel_words(x >= 0)
+        assert np.array_equal(unpack(unpack_channel_words(w, 100)), sign_values(x))
 
 
 class TestXnorPopcountDot:
     def test_identical_vectors(self):
-        a = pack(np.ones(8, np.float32))
-        assert xnor_popcount_dot(a, a) == 8
+        a = words(np.ones(8))
+        assert xnor_popcount_dot(a, a, 8) == 8
 
     def test_opposite_vectors(self):
-        a = pack(np.ones(8, np.float32))
-        b = pack(-np.ones(8, np.float32))
-        assert xnor_popcount_dot(a, b) == -8
+        assert xnor_popcount_dot(words(np.ones(8)), words(-np.ones(8)), 8) == -8
 
     def test_orthogonal_case(self):
         av = np.array([1.0, -1.0, 1.0, -1.0], np.float32)
         bv = np.array([1.0, 1.0, -1.0, -1.0], np.float32)
         assert naive_dot(av, bv) == 0
-        assert xnor_popcount_dot(pack(av), pack(bv)) == 0
+        assert xnor_popcount_dot(words(av), words(bv), 4) == 0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xnor_popcount_dot(pack(np.ones(4, np.float32)), pack(np.ones(5, np.float32)))
+        with pytest.raises(ValueError):  # one word each, but a bit past n = 4
+            xnor_popcount_dot(words(np.ones(4)), words(np.ones(5)), 4)
+        with pytest.raises(ValueError):  # 65 bits need two words
+            xnor_popcount_dot(words(np.ones(64)), words(np.ones(65)), 65)
 
     @given(st.integers(1, 2**16), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -166,20 +165,20 @@ class TestXnorPopcountDot:
         bv = rng.choice([-1.0, 1.0], size=n).astype(np.float32)
         # vectorized form of the loop oracle (checked against the loop below)
         expect = int(np.sum(av.astype(np.int64) * bv.astype(np.int64)))
-        assert xnor_popcount_dot(pack(av), pack(bv)) == expect
+        assert xnor_popcount_dot(words(av), words(bv), n) == expect
 
     def test_small_sizes_against_loop_oracle(self):
         rng = np.random.default_rng(5)
         for n in [1, 2, 63, 64, 65, 127, 128, 129, 1000]:
             av = rng.choice([-1.0, 1.0], size=n).astype(np.float32)
             bv = rng.choice([-1.0, 1.0], size=n).astype(np.float32)
-            assert xnor_popcount_dot(pack(av), pack(bv)) == naive_dot(av, bv)
+            assert xnor_popcount_dot(words(av), words(bv), n) == naive_dot(av, bv)
 
     def test_self_and_negation_property(self):
         rng = np.random.default_rng(9)
         for n in [1, 17, 64, 100, 4097]:
             av = rng.choice([-1.0, 1.0], size=n).astype(np.float32)
-            a = pack(av)
-            na = pack(-av)
-            assert xnor_popcount_dot(a, a) == n
-            assert xnor_popcount_dot(a, na) == -n
+            a = words(av)
+            na = words(-av)
+            assert xnor_popcount_dot(a, a, n) == n
+            assert xnor_popcount_dot(a, na, n) == -n

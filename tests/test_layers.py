@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitmotor import kernels, layers
-from bitmotor.core import BitTensor, pack, sign_values, unpack
+from bitmotor.core import pack_channel_words, sign_values, unpack, unpack_channel_words
 from bitmotor.layers import (
     BNParams,
+    EncoderLayer,
     PackedEncoder,
     ThresholdParams,
     bn_forward,
@@ -35,7 +36,7 @@ def run_conv(xs, ws, t):
 def run_fc(xv, wv, t):
     """BinFcKernel with folded thresholds ``t`` on a +-1 vector; +-1 out."""
     k = kernels.BinFcKernel(wv, t.tau, t.flip)
-    return unpack(BitTensor((k.out_features,), k(pack(xv).words)))
+    return signs(unpack_channel_words(k(pack_channel_words(xv > 0)), k.out_features))
 
 
 def naive_conv(x, w, pad=1, pad_value=0.0):
@@ -391,9 +392,9 @@ class TestPackedConvThresholds:
 
 
 class TestKernelsFromBits:
-    """A kernel built from the stored 0/1 bits, as ``PackedEncoder`` builds
-    it, equals the kernel built from the +-1 floats, as perfbench's replay
-    builds it."""
+    """A kernel built from the stored bool weights, as ``PackedEncoder``
+    builds it, equals the kernel built from the +-1 floats, as perfbench's
+    replay builds it."""
 
     @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 65), (3, 130)])
@@ -401,7 +402,7 @@ class TestKernelsFromBits:
         o, c = shape
         rng = np.random.default_rng([o, c, len(flips)])
         ws = rng.choice([-1.0, 1.0], size=(o, c, 3, 3)).astype(np.float32)
-        bits = pack(ws).bits().reshape(ws.shape)
+        bits = ws > 0
         tau = rng.integers(-9 * c - 2, 9 * c + 3, o).astype(np.int32)
         flip = flip_set(flips, o)
         a = kernels.BinConvKernel(ws, tau, flip)
@@ -415,7 +416,7 @@ class TestKernelsFromBits:
         o, c = shape
         rng = np.random.default_rng([o, c, len(flips), 1])
         ws = rng.choice([-1.0, 1.0], size=(o, c, 3, 3)).astype(np.float32)
-        bits = pack(ws).bits().reshape(ws.shape)
+        bits = ws > 0
         window = 9 * c * 255
         tau = rng.integers(-window - 2, window + 3, o).astype(np.int32)
         flip = flip_set(flips, o)
@@ -431,7 +432,7 @@ class TestKernelsFromBits:
         o, n = shape
         rng = np.random.default_rng([o, n, len(flips)])
         ws = rng.choice([-1.0, 1.0], size=(o, n)).astype(np.float32)
-        bits = pack(ws).bits().reshape(ws.shape)
+        bits = ws > 0
         tau = rng.integers(-n - 2, n + 3, o).astype(np.int32)
         flip = flip_set(flips, o)
         a = kernels.BinFcKernel(ws, tau, flip)
@@ -562,6 +563,17 @@ class TestEncoderForward:
         assert np.array_equal(second, PackedEncoder(enc).features(img))
         with pytest.raises(ValueError, match=r"PackedEncoder\(enc\)\.features"):
             encoder_forward(img, enc, path="packed")
+
+    @pytest.mark.parametrize("stored", ["float32", "uint8"])
+    def test_rejects_non_bool_weights(self, stored):
+        # -1.0 is truthy, so +-1 floats taken for stored weights would all
+        # read as +1
+        rng = np.random.default_rng(14)
+        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        lay = enc.layers[1]
+        w = {"float32": unpack(lay.weights), "uint8": lay.weights.astype(np.uint8)}[stored]
+        with pytest.raises(TypeError, match=f"layer conv2: .* got {stored}"):
+            EncoderLayer(lay.name, lay.kind, w, lay.bn, lay.pool)
 
     def test_geometry_matches_table(self):
         stages = encoder_geometry(142, (32, 64, 128, 256), 1024)
