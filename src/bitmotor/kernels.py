@@ -17,7 +17,8 @@ the contiguous row-shifted view ``rows[dy*W : dy*W + H*W]`` against the
 ``dy`` block of ``weight_matrix``, accumulated in place. No 9*C-wide column
 copy is made; this is the split over kernel taps of low-memory GEMM
 convolution (Anderson et al. 2017, arXiv 1709.03395). Each output channel
-fires on one compare, ``pre >= t``.
+fires on one compare, ``pre >= t``; on wide layers one sgemm column carries
+two channels (below).
 
 The first conv, ``Conv1Kernel``, reads the raw 8-bit pixels, and with C = 3
 that split would give sgemms of K = 9 whose cost is dwarfed by building the
@@ -36,6 +37,34 @@ summation order, blocking, fused multiply-add inside BLAS or split into
 three products can change a result: binary convs sum at most 9*256 = 2304
 terms of 0 or +-1 at the paper geometry, and the first conv reaches at most
 |pre| <= 27*255 = 6885.
+
+The same bound lets a binary conv put two output channels in one sgemm
+column, as Xilinx's WP486 (2017) packs two INT8 products that share an
+operand into one DSP48 multiply. ``_pair_channels`` folds the (K, O) matrix,
+K = 9*C, once into ``ww[:, :lo] + base * ww[:, lo:]`` with ``pairs = O // 2``
+and ``lo = O - pairs``, so the sgemms do half the work; when O is odd the
+last lo column has no partner. Column j of ``pre`` then holds
+``lo + base * hi``, the sums of channels j and lo + j. ``base`` is the
+smallest power of two above ``2K + 1``, so ``|lo| <= K < base / 2``:
+
+- ``hi = rint(pre / base)`` is exact, since dividing by a power of two is,
+  and a hi channel fires where ``hi >= t``, the same as
+  ``pre >= base*t - base/2``.
+- ``lo = pre - base * hi``, and a lo channel fires where ``lo >= t``. An
+  unpartnered column has ``hi = 0``.
+
+Every term of such a column is 0 or +-1 +- base, so every partial sum BLAS
+can form is at most ``K * (1 + base)`` in magnitude. A layer pairs only
+where that is below 2**24, which holds for K <= 2047 (C <= 227), and where
+``K * O >= 2**14``. The second rule is measured: the decode compares column
+slices of ``pre``, which numpy runs row by row, and adds six numpy calls.
+Traced ``loop_paper`` (perfbench, 2 CPUs, numpy 2.4.6, OpenBLAS 0.3.31,
+medians of 3 runs) goes 2.83 -> 2.09 ms at conv2 (K*O = 18432), 1.84 ->
+1.10 ms at conv3 (73728) and 1.70 -> 0.86 ms at conv4 (294912). On
+``loop_desk`` frames, interleaved in one process, pairing every layer was
+9-17% slower than pairing none, and this rule, which leaves conv2 (1152) and
+conv3 (4608) unpaired, 2-7% slower: desk conv4 has paper conv2's shape on a
+7x7 map, where the halved sgemm saves about what the extra calls cost.
 
 Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
 ``layers.fold_bn_sign``) into the single threshold ``t`` at set-up:
@@ -149,10 +178,32 @@ def _fold_conv(wsigns, tau, flip, bits):
     return ww, t
 
 
-def _conv_fire(x, ww, t):
+def _pair_channels(ww):
+    """(9*C, O) bit-domain weight matrix -> ``(ww, base)`` of ``_conv_fire``.
+
+    A layer that pairs gets ``ww[:, :lo] + base * ww[:, lo:]``, two output
+    channels per column, with ``lo = O - O // 2``; when O is odd the last lo
+    column has no partner. Any other layer keeps its matrix, with base 0.
+    """
+    k, o = ww.shape
+    base = 1 << (2 * k + 1).bit_length()
+    if k * (1 + base) >= 2**24 or k * o < 2**14:
+        return ww, 0
+    pairs = o // 2
+    lo = o - pairs
+    wp = ww[:, :lo].copy()
+    wp[:, :pairs] += base * ww[:, lo:]
+    return wp, base
+
+
+def _conv_fire(x, ww, t, base):
     """(H, W, C) bool map -> (H, W, O) bool map of ``pre >= t``.
 
     Takes bit maps only; the pixels of the first conv go to ``Conv1Kernel``.
+    ``ww`` and ``base`` come from ``_pair_channels``. With base 0 each column
+    of ``pre`` is one channel. Otherwise column j holds ``lo + base * hi`` of
+    channels j and lo + j, split as ``hi = rint(pre / base)`` and
+    ``lo = pre - base * hi``; the output keeps channel order, lo block first.
     """
     h, wd, c = x.shape
     rows = np.zeros((h + 2, wd, 3, c), x.dtype)
@@ -164,7 +215,17 @@ def _conv_fire(x, ww, t):
     pre = rows[:n] @ ww[:k]
     for dy in (1, 2):
         pre += rows[dy * wd : dy * wd + n] @ ww[dy * k : (dy + 1) * k]
-    return (pre >= t).reshape(h, wd, -1)
+    if not base:
+        return (pre >= t).reshape(h, wd, -1)
+    lo = ww.shape[1]
+    out = np.empty((n, t.size), np.bool_)
+    hi = pre * np.float32(1 / base)
+    np.rint(hi, out=hi)
+    np.greater_equal(hi[:, : t.size - lo], t[lo:], out=out[:, lo:])
+    hi *= base
+    pre -= hi
+    np.greater_equal(pre, t[:lo], out=out[:, :lo])
+    return out.reshape(h, wd, -1)
 
 
 class Conv1Kernel:
@@ -215,13 +276,14 @@ class BinConvKernel:
             raise ValueError("binary conv kernels are 3x3")
         self.out_channels = o_ch
         self.in_channels = cin
-        self.ww, self.t = _fold_conv(wsigns, tau, flip, bits=True)
+        ww, self.t = _fold_conv(wsigns, tau, flip, bits=True)
+        self.ww, self.base = _pair_channels(ww)
 
     def __call__(self, x):
         """x: (H, W, C) bool map -> (H, W, O) bool map."""
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ValueError(f"expected an (H, W, {self.in_channels}) map, got {x.shape}")
-        return _conv_fire(x, self.ww, self.t)
+        return _conv_fire(x, self.ww, self.t, self.base)
 
 
 def pool_or(x):

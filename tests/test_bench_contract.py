@@ -24,20 +24,25 @@ from measure import Tracer  # noqa: E402
 
 
 def test_replayed_encoder_equals_packed_and_reference():
+    # conv2 of the (16, 128) encoder carries two output channels per sgemm
+    # column, so the replay reads k.ww of a paired kernel
     rng = np.random.default_rng(0)
-    enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
-    tracer = Tracer()
-    loops.replay_setup(enc, tracer)
-    pe = PackedEncoder(enc)
-    names = [lay.name for lay in enc.layers[1:]]
-    for _ in range(3):
-        img = rng.integers(0, 256, (33, 33, 3), dtype=np.uint8)
-        got = loops.replay_features(pe, names, img, tracer)
-        assert np.array_equal(got, pe.features(img))
-        assert np.array_equal(got, encoder_forward(img, enc, path="reference"))
-    assert {"layers.fold_bn_sign_ms", "kernels.pack_weights_ms"} <= tracer.per_root("setup").keys()
-    stages = {f"kernels.{s}_ms" for s in ("conv1", "conv2", "fc1", "fc2", "pool", "flatten")}
-    assert stages <= tracer.per_root("frame").keys()
+    for channels in ((8, 16), (16, 128)):
+        enc = random_encoder_params(rng, input_size=33, channels=channels, fc1_out=32)
+        tracer = Tracer()
+        loops.replay_setup(enc, tracer)
+        pe = PackedEncoder(enc)
+        conv2 = pe.stages[0][1]
+        assert conv2.ww.shape[1] == (64 if channels[1] == 128 else 16)
+        names = [lay.name for lay in enc.layers[1:]]
+        for _ in range(3):
+            img = rng.integers(0, 256, (33, 33, 3), dtype=np.uint8)
+            got = loops.replay_features(pe, names, img, tracer)
+            assert np.array_equal(got, pe.features(img))
+            assert np.array_equal(got, encoder_forward(img, enc, path="reference"))
+        assert {"layers.fold_bn_sign_ms", "kernels.pack_weights_ms"} <= tracer.per_root("setup").keys()
+        stages = {f"kernels.{s}_ms" for s in ("conv1", "conv2", "fc1", "fc2", "pool", "flatten")}
+        assert stages <= tracer.per_root("frame").keys()
 
 
 def test_replay_unpacks_the_stored_weights():

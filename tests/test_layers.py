@@ -347,16 +347,30 @@ class TestPackedConvThresholds:
     threshold is easiest to get wrong: right at the reachable sums, past
     them, and on narrow maps."""
 
-    @staticmethod
-    def _case(first, h, w, rng):
-        c_in = 3 if first else 5
-        if first:
+    # (input, output) channels. "wide" carries two output channels per sgemm
+    # column (K*O = 576*33), and its odd O leaves the last lo column, 16,
+    # without a partner.
+    SHAPES = {"conv1": (3, 12), "binconv": (5, 12), "wide": (64, 33)}
+
+    @classmethod
+    def _case(cls, kind, h, w, rng):
+        """A random input and weights, then the all-zero and all-one maps
+        (pixels 0 and 255 for conv1, -1 and +1 for the binary convs)."""
+        c_in, o = cls.SHAPES[kind]
+        if kind == "conv1":
             x = rng.integers(0, 256, (h, w, c_in), dtype=np.uint8)
+            maps = (x, np.zeros_like(x), np.full_like(x, 255))
         else:
             x = rng.choice([-1.0, 1.0], size=(h, w, c_in)).astype(np.float32)
-        ws = rng.choice([-1.0, 1.0], size=(12, c_in, 3, 3)).astype(np.float32)
-        pre = conv2d_float(x, ws, pad_value=0.0 if first else -1.0)
-        return x, ws, pre
+            maps = (x, np.full_like(x, -1.0), np.ones_like(x))
+        ws = rng.choice([-1.0, 1.0], size=(o, c_in, 3, 3)).astype(np.float32)
+        if kind == "wide":
+            # constant channels put |lo| and |hi| at K, the decode's margin,
+            # on the all-one map: pairs (0, 17) and (1, 18) with opposite
+            # signs, and the unpaired 16
+            for ch, v in ((0, 1.0), (17, -1.0), (1, -1.0), (18, 1.0), (16, 1.0)):
+                ws[ch] = v
+        return maps, ws
 
     @staticmethod
     def _run(first, x, ws, tau, flip):
@@ -381,14 +395,47 @@ class TestPackedConvThresholds:
 
     @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
     @pytest.mark.parametrize("hw", [(1, 1), (5, 1), (1, 2), (4, 2), (6, 7)])
-    @pytest.mark.parametrize("first", [True, False], ids=["conv1", "binconv"])
-    def test_matches_float_oracle(self, first, hw, flips):
-        rng = np.random.default_rng([first, *hw, len(flips)])
-        x, ws, pre = self._case(first, *hw, rng)
-        flip = flip_set(flips, 12)
-        for tau in self._taus(first, ws, pre, rng):
-            want = (pre >= tau) != flip
-            assert np.array_equal(self._run(first, x, ws, tau, flip), want), tau
+    @pytest.mark.parametrize("kind", ["conv1", "binconv", "wide"])
+    def test_matches_float_oracle(self, kind, hw, flips):
+        first = kind == "conv1"
+        wide = [33] if kind == "wide" else []
+        rng = np.random.default_rng([first, *hw, len(flips), *wide])
+        maps, ws = self._case(kind, *hw, rng)
+        o = ws.shape[0]
+        if wide:
+            assert kernels.BinConvKernel(ws, np.zeros(o), np.zeros(o, bool)).ww.shape[1] == 17
+        flip = flip_set(flips, o)
+        for x in maps:
+            pre = conv2d_float(x, ws, pad_value=0.0 if first else -1.0)
+            for tau in self._taus(first, ws, pre, rng):
+                want = (pre >= tau) != flip
+                assert np.array_equal(self._run(first, x, ws, tau, flip), want), tau
+
+    @pytest.mark.parametrize("c_in, paired", [(227, True), (228, False)])
+    def test_exactness_bound(self, c_in, paired):
+        # base = 4096 keeps every partial sum of K = 2043 pairs below 2**24;
+        # K = 2052 would need base = 8192 and sums up to 8192*2052 > 2**24,
+        # where float32 drops odd values: on the all-one map with one -1
+        # input, pixels (1, 1) and (1, 2) reach hi = K - 1 on the +1 weights
+        # of channels 5..9, with odd lo
+        o = 10
+        rng = np.random.default_rng(c_in)
+        ws = rng.choice([-1.0, 1.0], size=(o, c_in, 3, 3)).astype(np.float32)
+        ws[o // 2 :] = 1.0
+        k = kernels.BinConvKernel(ws, np.zeros(o), np.zeros(o, bool))
+        assert k.ww.shape == (9 * c_in, o // 2 if paired else o)
+        ones = np.ones((3, 4, c_in), np.float32)
+        dent = ones.copy()
+        dent[1, 1, 0] = -1.0
+        random = rng.choice([-1.0, 1.0], size=(3, 4, c_in)).astype(np.float32)
+        for flips in ("none", "mixed"):
+            flip = flip_set(flips, o)
+            for x in (random, ones, dent):
+                pre = conv2d_float(x, ws, pad_value=-1.0)
+                at_dent = [pre[1, 1] + d for d in (-1, 0, 1)]
+                for tau in self._taus(False, ws, pre, rng) + at_dent:
+                    want = (pre >= tau) != flip
+                    assert np.array_equal(self._run(False, x, ws, tau, flip), want), tau
 
 
 class TestKernelsFromBits:
@@ -397,7 +444,7 @@ class TestKernelsFromBits:
     replay builds it."""
 
     @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
-    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 65), (3, 130)])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 65), (3, 130), (33, 64)])
     def test_conv_bits_match_signs(self, shape, flips):
         o, c = shape
         rng = np.random.default_rng([o, c, len(flips)])
@@ -490,21 +537,27 @@ class TestEncoderForward:
             assert np.array_equal(fp, fr)
 
     def test_frame_path_folds_nothing(self, monkeypatch):
-        # every fold happens in PackedEncoder(enc); a frame only runs kernels
+        # every fold happens in PackedEncoder(enc); a frame only runs
+        # kernels. conv2 of the second encoder pairs its output channels.
         rng = np.random.default_rng(15)
-        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
-        img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
-        pe = PackedEncoder(enc)
-        want = encoder_forward(img, enc)
+        cases = []
+        for channels in ((8, 16), (16, 128)):
+            enc = random_encoder_params(rng, input_size=33, channels=channels, fc1_out=32)
+            img = rng.integers(0, 256, size=(33, 33, 3), dtype=np.uint8)
+            pe = PackedEncoder(enc)
+            assert bool(pe.stages[0][1].base) == (channels[1] == 128)
+            cases.append((enc, img, pe, encoder_forward(img, enc)))
 
         def no_fold(*args, **kwargs):
             raise AssertionError("folded on the frame path")
 
         monkeypatch.setattr(kernels, "_fold_conv", no_fold)
+        monkeypatch.setattr(kernels, "_pair_channels", no_fold)
         monkeypatch.setattr(layers, "fold_bn_sign", no_fold)
-        assert np.array_equal(pe.features(img), want)
-        with pytest.raises(AssertionError, match="frame path"):
-            PackedEncoder(enc)  # the patch is live
+        for enc, img, pe, want in cases:
+            assert np.array_equal(pe.features(img), want)
+            with pytest.raises(AssertionError, match="frame path"):
+                PackedEncoder(enc)  # the patch is live
 
     def test_paper_geometry_equivalence(self):
         rng = np.random.default_rng(11)
