@@ -43,12 +43,17 @@ def nwords(n):
 
 
 def pack_channel_words(bits):
-    """(..., C) array of 0/1 -> (..., nw) uint64 words, LSB first, zero tails."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    c = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (nwords(c) * _WORD_BITS,), np.uint8)
-    padded[..., :c] = bits
-    by = np.packbits(padded, axis=-1, bitorder="little")
+    """(..., C) bool or 0/1 integer array -> (..., nw) uint64 words, LSB first, zero tails.
+
+    The bits are packed as given; only the packed bytes are padded to whole
+    words, so no padded copy of the input is made.
+    """
+    by = np.packbits(bits, axis=-1, bitorder="little")
+    nb = nwords(bits.shape[-1]) * (_WORD_BITS // 8)
+    if by.shape[-1] != nb:
+        padded = np.zeros(by.shape[:-1] + (nb,), np.uint8)
+        padded[..., : by.shape[-1]] = by
+        by = padded
     return by.view(np.uint64)
 
 

@@ -2,12 +2,13 @@
 layout of the float convs.
 
 Encoder weights are stored as bool arrays, True for +1; this module decides
-how each stage computes on them. A kernel's weight array stands for +1 where
-it is greater than a zero of its own dtype (``_plus``), so the stored bools
-and +-1 floats build the same kernel. The zero has the weights' dtype
-because NumPy compares a bool array with the int 0 as int64, about 4x
-slower on fc1's 12.8 M paper weights. ``layers.PackedEncoder`` runs these
-kernels, and the tests call them directly against float oracles.
+how each stage computes on them. A kernel takes the stored bools as they
+are, or +-1 floats, which stand for +1 where they are positive (``_plus``),
+so both build the same kernel. Bools are never compared: NumPy compares a
+bool array with the int 0 as int64, and even a compare into a new bool array
+costs a 12.8 MB copy of fc1's paper weights at set-up.
+``layers.PackedEncoder`` runs these kernels, and the tests call them
+directly against float oracles.
 
 Conv stages carry activations as ``(H, W, C)`` bool maps, True for +1.
 The binary convs run ``_conv_fire``: it lays out the horizontal taps of each
@@ -106,7 +107,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import pack_channel_words, popcount
+from .core import pack_channel_words, popcount, unpack
 from .core import unpack_channel_words  # noqa: F401  (decodes feature words for callers)
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,9 @@ def weight_matrix(w):
 
 
 def _plus(w):
-    """True where a weight stands for +1: bools as stored, or +-1 values."""
-    return w > w.dtype.type(0)
+    """True where a weight stands for +1: bools are returned unchanged (so
+    callers must not write to the result), +-1 values are compared with 0."""
+    return w if w.dtype == np.bool_ else w > 0
 
 
 def _fold_conv(wsigns, tau, flip, bits):
@@ -167,7 +169,9 @@ def _fold_conv(wsigns, tau, flip, bits):
     """
     flip = np.asarray(flip, np.bool_)
     pos = _plus(wsigns) != flip[:, None, None, None]
-    ww = weight_matrix(np.where(pos, np.float32(1.0), np.float32(-1.0)))
+    # lay out the bools, then cast: np.where over two float32 scalars took
+    # 1.8 ms on paper conv4's 295 K weights, the cast 0.13 ms
+    ww = unpack(weight_matrix(pos))
     tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
     bound = ww.shape[0]
     if bits:
@@ -312,9 +316,10 @@ class BinFcKernel:
         self.out_features = o_ch
         self.in_features = in_dim
         flip = np.asarray(flip, np.bool_)
-        # the +1 bits of the negated row of a flipped neuron are its -1 bits
-        bits = _plus(wsigns) != flip[:, None]
-        self.wv = np.ascontiguousarray(pack_channel_words(bits.view(np.uint8)))
+        self.wv = pack_channel_words(_plus(wsigns))
+        # the negated row of a flipped neuron has the other in_dim bits set;
+        # the all-ones row has zero tail bits, so the tails stay zero
+        self.wv[flip] ^= pack_channel_words(np.ones(in_dim, np.bool_))
         tau = np.where(flip, 1 - np.asarray(tau, np.int64), tau)
         self.max_mismatch = np.clip((in_dim - tau) // 2, -1, in_dim + 1)
 

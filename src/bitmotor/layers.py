@@ -147,7 +147,14 @@ def fold_bn_sign(p: BNParams):
     The flip-over point is located by bisection on the monotone float32 BN
     expression itself, so the thresholded output equals sign(bn_forward(v))
     for every integer v in [-FOLD_VMAX, FOLD_VMAX], including rounding edge
-    cases.
+    cases. A channel that fires everywhere gets -FOLD_VMAX, one that never
+    fires FOLD_VMAX + 1.
+
+    The bisection of a channel starts from the bracket [g - 2, g] around
+    g = ceil(mu - beta / k), the crossing in float64, wherever the float32
+    expression confirms it (fires at g, not at g - 2), and from the full
+    range elsewhere. The expression is monotone, so the bracket never
+    changes the result, only the number of steps: one, not 26.
     """
     if np.any(p.gamma == 0):
         raise ValueError("gamma must be nonzero to fold BN into a sign threshold")
@@ -159,14 +166,21 @@ def fold_bn_sign(p: BNParams):
         y = (v.astype(np.float32) - p.mu) * k + p.beta
         return np.where(flip, y < 0, y >= 0)
 
-    lo = np.full(p.channels, -FOLD_VMAX - 1, dtype=np.int64)  # virtual: pred False
-    hi = np.full(p.channels, FOLD_VMAX + 1, dtype=np.int64)   # virtual: pred True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.ceil(p.mu.astype(np.float64) - p.beta.astype(np.float64) / k)
+    guess = (g >= 2 - FOLD_VMAX) & (g <= FOLD_VMAX)  # False for NaN
+    g = np.where(guess, g, 0).astype(np.int64)
+    guess &= pred(g) & ~pred(g - 2)
+    lo = np.where(guess, g - 2, -FOLD_VMAX - 1)  # -FOLD_VMAX - 1 is virtual: pred False
+    hi = np.where(guess, g, FOLD_VMAX + 1)       # FOLD_VMAX + 1 is virtual: pred True
     while np.any(hi - lo > 1):
         mid = (lo + hi) >> 1
         t = pred(mid)
         hi = np.where(t, mid, hi)
         lo = np.where(t, lo, mid)
-    return ThresholdParams(hi.astype(np.int32), flip)
+    # a converged channel keeps stepping while others do; at the virtual lower
+    # bound its mid is lo itself, and where pred(lo) holds hi drops to it
+    return ThresholdParams(np.maximum(hi, -FOLD_VMAX).astype(np.int32), flip)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +332,36 @@ def logistic(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
+_DRAW_BLOCK = 1 << 20  # weights drawn per rng call: 8 MB of int64 indices
+
+
+def _random_bits(rng, shape):
+    """Bool array, True for +1, of the draw ``rng.choice([-1.0, 1.0], shape) > 0``.
+
+    ``choice`` draws one int64 index per weight and gathers a float64 array,
+    207 MB together for fc1 at paper geometry. The same indices are drawn
+    here block by block, and the generator ends in the same state.
+    """
+    w = np.empty(int(np.prod(shape)), np.bool_)
+    for i in range(0, w.size, _DRAW_BLOCK):
+        block = w[i : i + _DRAW_BLOCK]
+        np.equal(rng.integers(0, 2, size=block.size), 1, out=block)
+    return w.reshape(shape)
+
+
 def random_encoder_params(rng, input_size=PAPER_INPUT_SIZE, channels=PAPER_CHANNELS,
                           fc1_out=PAPER_FC1_OUT, feature_dim=FEATURE_DIM):
-    """Random but well-formed EncoderParams (for kernel tests and benchmarks)."""
+    """Random but well-formed EncoderParams (for kernel tests and benchmarks).
+
+    Each layer draws its weights as ``rng.choice([-1.0, 1.0], shape) > 0``
+    would (``_random_bits``), then its BN parameters.
+    """
     layers = []
     for name, kind, _s, c_in, c_out, pool in encoder_geometry(
         input_size, channels, fc1_out, feature_dim
     ):
         shape = (c_out, c_in, 3, 3) if kind == "conv" else (c_out, c_in)
-        w = rng.choice([-1.0, 1.0], size=shape) > 0
+        w = _random_bits(rng, shape)
         window = c_in * 9 if kind == "conv" else c_in
         scale = 255.0 * window if name == "conv1" else float(window)
         bn = BNParams(
