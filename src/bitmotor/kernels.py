@@ -63,9 +63,11 @@ Traced ``loop_paper`` (perfbench, 2 CPUs, numpy 2.4.6, OpenBLAS 0.3.31,
 medians of 3 runs) goes 2.83 -> 2.09 ms at conv2 (K*O = 18432), 1.84 ->
 1.10 ms at conv3 (73728) and 1.70 -> 0.86 ms at conv4 (294912). On
 ``loop_desk`` frames, interleaved in one process, pairing every layer was
-9-17% slower than pairing none, and this rule, which leaves conv2 (1152) and
-conv3 (4608) unpaired, 2-7% slower: desk conv4 has paper conv2's shape on a
-7x7 map, where the halved sgemm saves about what the extra calls cost.
+9-17% slower than pairing none. The rule leaves desk conv2 (1152) and conv3
+(4608) unpaired but misfires on desk conv4, which has paper conv2's K*O on
+a 7x7 map: there the halved sgemm saves about what the extra calls cost, and
+desk frames run 2-7% slower than with no pairing. The rule cannot see the
+map size, which ``_conv_fire`` learns only per call.
 
 Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
 ``layers.fold_bn_sign``) into the single threshold ``t`` at set-up:
@@ -81,6 +83,10 @@ Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
 Thresholds are clipped to one past the reachable range of ``pre`` before
 they are cast to float32, which keeps them exact without changing any
 comparison.
+
+The 3x3 stride-2 pool's geometry is ``pool_out_size`` and ``pool_windows``.
+``pool_or`` ORs bool maps separably; ``layers.maxpool`` and the trainer's
+``_pool_fwd``, which also keeps each max's tap, run over ``pool_windows``.
 
 ``im2col`` lays out the 3x3 windows of a channels-last map as columns
 ordered (dy, dx, c), and ``weight_matrix`` lays out (O, C, 3, 3) weights as
@@ -188,6 +194,8 @@ def _pair_channels(ww):
     A layer that pairs gets ``ww[:, :lo] + base * ww[:, lo:]``, two output
     channels per column, with ``lo = O - O // 2``; when O is odd the last lo
     column has no partner. Any other layer keeps its matrix, with base 0.
+    The rule reads K and O only, not the map size, so desk conv4 (K*O = 18432
+    on a 7x7 map) pairs at a 2-7% loss per desk frame.
     """
     k, o = ww.shape
     base = 1 << (2 * k + 1).bit_length()
@@ -290,13 +298,23 @@ class BinConvKernel:
         return _conv_fire(x, self.ww, self.t, self.base)
 
 
+def pool_out_size(n):
+    """Output length of the 3x3 stride-2 pool over an axis of length n."""
+    if n < 3:
+        raise ValueError(f"pool input {n} smaller than kernel 3")
+    return (n - 3) // 2 + 1
+
+
+def pool_windows(x):
+    """The nine strided tap views of a 3x3 stride-2 pool over the (H, W) axes
+    of an (..., H, W, C) map, in (dy, dx) order."""
+    ho, wo = pool_out_size(x.shape[-3]), pool_out_size(x.shape[-2])
+    return [x[..., dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
+
+
 def pool_or(x):
     """3x3 stride-2 max pool over a +-1 bool map = OR of the window."""
-    h, wd = x.shape[:2]
-    if h < 3 or wd < 3:
-        raise ValueError("pool input smaller than kernel")
-    ho = (h - 3) // 2 + 1
-    wo = (wd - 3) // 2 + 1
+    ho, wo = pool_out_size(x.shape[0]), pool_out_size(x.shape[1])
     # separable: OR along H, then along W; the first pass reads whole rows
     # and halves H before the strided second pass
     cols = x[0 : 2 * ho - 1 : 2] | x[1 : 2 * ho : 2] | x[2 : 2 * ho + 1 : 2]

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .core import as_float, sign_values, unpack
+from .kernels import pool_out_size
 
 PAPER_INPUT_SIZE = 142
 PAPER_CHANNELS = (32, 64, 128, 256)
@@ -43,10 +44,13 @@ class BNParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        self.gamma = np.ascontiguousarray(self.gamma, dtype=np.float32)
-        self.beta = np.ascontiguousarray(self.beta, dtype=np.float32)
-        self.mu = np.ascontiguousarray(self.mu, dtype=np.float32)
-        self.sigma2 = np.ascontiguousarray(self.sigma2, dtype=np.float32)
+        for name in ("gamma", "beta", "mu", "sigma2"):
+            v = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
+            # fold_bn_sign would fold such a channel without complaint, a NaN
+            # one into a channel that never fires
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, v)
         if np.any(self.sigma2 < 0):
             raise ValueError("sigma2 must be >= 0")
         if not self.eps > 0:
@@ -105,22 +109,16 @@ def fc_float(x, weights):
 def maxpool(x):
     """3x3 stride-2 max pool (the only Table-consistent geometry).
 
-    Channels-last float maps, optionally batched.
+    Channels-last float maps, optionally batched; the dtype is kept. The
+    taps are taken in ``training._pool_fwd``'s order and ``np.maximum``
+    returns its second argument on a tie, so the earlier value stays, -0.0
+    included, and the result is ``_pool_fwd``'s max without the indices.
     """
-    *lead, h, w, c = x.shape
-    ho, wo = pool_out_size(h), pool_out_size(w)
-    out = np.full((*lead, ho, wo, c), -np.inf, np.float32)
-    for dy in range(3):
-        for dx in range(3):
-            np.maximum(out, x[..., dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :], out=out)
+    views = kernels.pool_windows(x)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
     return out
-
-
-def pool_out_size(n):
-    """Output length of the 3x3 stride-2 pool over an axis of length n."""
-    if n < 3:
-        raise ValueError(f"pool input {n} smaller than kernel 3")
-    return (n - 3) // 2 + 1
 
 
 def bn_scale(p: BNParams):
@@ -269,8 +267,7 @@ class PackedEncoder:
 
     def features(self, pixels):
         words = self.feature_words(pixels)
-        bits = kernels.unpack_channel_words(words[None, :], self.feature_dim)[0]
-        return (bits.astype(np.float32) * 2.0 - 1.0).astype(np.float32)
+        return unpack(kernels.unpack_channel_words(words[None, :], self.feature_dim)[0])
 
 
 def _check_pixels(pixels, size, channels):

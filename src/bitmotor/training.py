@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import sign_values, ste_backward
-from .kernels import im2col, weight_matrix
+from .kernels import im2col, pool_windows, weight_matrix
 from .layers import (
     DESK_CHANNELS,
     DESK_FC1_OUT,
@@ -40,6 +40,7 @@ from .layers import (
     conv_pad_value,
     encoder_geometry,
     logistic,
+    maxpool,
     nn_index,
     nn_resize,
     pool_out_size,
@@ -185,7 +186,7 @@ def _pool_fwd(x):
     rule; on +-1 maps nearly every window is a tie. On a tie ``np.maximum``
     returns its second argument, so the earlier value stays, -0.0 included.
     """
-    views = _pool_windows(x)
+    views = pool_windows(x)
     out = views[0].copy()
     idx = np.zeros(out.shape, np.uint8)
     for t in range(1, 9):
@@ -194,33 +195,12 @@ def _pool_fwd(x):
     return out, (idx, x.shape[1], x.shape[2])
 
 
-def _pool_max(x):
-    """The max of ``_pool_fwd`` without the window indices, for eval.
-
-    The taps are taken in the same order and ``np.maximum`` gets the same
-    argument order, so ties and signed zeros resolve identically.
-    """
-    views = _pool_windows(x)
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(view, out, out=out)
-    return out
-
-
-def _pool_windows(x):
-    """The nine strided tap views of a 3x3 stride-2 pool, in (dy, dx) order."""
-    ho, wo = pool_out_size(x.shape[1]), pool_out_size(x.shape[2])
-    return [x[:, dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
-
-
 def _pool_bwd(dout, cache):
     idx, h, wd = cache
-    n, ho, wo, c = dout.shape
+    n, _, _, c = dout.shape
     dx = np.zeros((n, h, wd, c), dout.dtype)
-    for t in range(9):
-        dy, dx_ = divmod(t, 3)
-        sel = np.where(idx == t, dout, dout.dtype.type(0.0))
-        dx[:, dy : dy + 2 * ho - 1 : 2, dx_ : dx_ + 2 * wo - 1 : 2, :] += sel
+    for t, view in enumerate(pool_windows(dx)):
+        view += np.where(idx == t, dout, 0)
     return dx
 
 
@@ -386,7 +366,7 @@ class DcaeNet:
                             ).astype(self.dtype)
                 x, entry["act"] = self._act_fwd(spec.name, z)
                 if spec.pool and tape is None:
-                    x = _pool_max(x)
+                    x = maxpool(x)
                 elif spec.pool:
                     x, entry["pool"] = _pool_fwd(x)
             if tape is not None:

@@ -21,6 +21,7 @@ from bitmotor.layers import (
     pool_out_size,
     random_encoder_params,
 )
+from bitmotor.training import _pool_fwd
 
 
 def signs(fired):
@@ -153,12 +154,19 @@ class TestMaxPool:
 
     def test_binary_matches_float(self):
         rng = np.random.default_rng(3)
-        x = rng.choice([-1.0, 1.0], size=(11, 9, 5)).astype(np.float32)
-        assert np.array_equal(signs(kernels.pool_or(x > 0)), maxpool(x))
+        for shape in [(11, 9, 5), (8, 3, 5), (3, 12, 5), (10, 10, 2)]:
+            x = rng.choice([-1.0, 1.0], size=shape).astype(np.float32)
+            assert np.array_equal(signs(kernels.pool_or(x > 0)), maxpool(x)), shape
 
     def test_too_small_input(self):
         with pytest.raises(ValueError):
             maxpool(np.zeros((2, 2, 1), np.float32))
+        for h, w in [(2, 5), (5, 2)]:
+            x = np.zeros((h, w, 1), np.float32)
+            with pytest.raises(ValueError):
+                kernels.pool_or(x > 0)
+            with pytest.raises(ValueError):
+                _pool_fwd(x[None])
 
 
 class TestFc:
@@ -235,6 +243,14 @@ class TestBatchNorm:
         y = bn_forward(x, p)
         assert np.allclose(y.mean(axis=0), beta, atol=1e-3)
         assert np.allclose(y.std(axis=0), np.abs(gamma), atol=1e-3)
+
+    @pytest.mark.parametrize("field", ["gamma", "beta", "mu", "sigma2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = {name: np.ones(3) for name in ("gamma", "beta", "mu", "sigma2")}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            BNParams(**values)
 
 
 class TestFoldBnSign:

@@ -14,7 +14,7 @@ import pytest
 from bitmotor import training
 from bitmotor.core import as_float, sign_values
 from bitmotor.kernels import im2col, weight_matrix
-from bitmotor.layers import logistic, nn_index
+from bitmotor.layers import logistic, maxpool, nn_index
 from bitmotor.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -29,7 +29,6 @@ from bitmotor.training import (
     _conv_weight_grad,
     _pool_bwd,
     _pool_fwd,
-    _pool_max,
     _resize_bwd,
     train_dcae,
 )
@@ -311,7 +310,9 @@ class TestPoolForward:
                 x = signed_values(rng, shape, dtype)
                 x[rng.random(shape) < 0.5] = 0.0
                 x[rng.random(shape) < 0.3] = -0.0
-            assert_bits_equal(_pool_max(x), _pool_fwd(x)[0])
+            out = maxpool(x)
+            assert out.dtype == dtype
+            assert_bits_equal(out, _pool_fwd(x)[0])
 
 
 class TestResizeBackward:
