@@ -57,17 +57,11 @@ smallest power of two above ``2K + 1``, so ``|lo| <= K < base / 2``:
 Every term of such a column is 0 or +-1 +- base, so every partial sum BLAS
 can form is at most ``K * (1 + base)`` in magnitude. A layer pairs only
 where that is below 2**24, which holds for K <= 2047 (C <= 227), and where
-``K * O >= 2**14``. The second rule is measured: the decode compares column
-slices of ``pre``, which numpy runs row by row, and adds six numpy calls.
-Traced ``loop_paper`` (perfbench, 2 CPUs, numpy 2.4.6, OpenBLAS 0.3.31,
-medians of 3 runs) goes 2.83 -> 2.09 ms at conv2 (K*O = 18432), 1.84 ->
-1.10 ms at conv3 (73728) and 1.70 -> 0.86 ms at conv4 (294912). On
-``loop_desk`` frames, interleaved in one process, pairing every layer was
-9-17% slower than pairing none. The rule leaves desk conv2 (1152) and conv3
-(4608) unpaired but misfires on desk conv4, which has paper conv2's K*O on
-a 7x7 map: there the halved sgemm saves about what the extra calls cost, and
-desk frames run 2-7% slower than with no pairing. The rule cannot see the
-map size, which ``_conv_fire`` learns only per call.
+``K * O >= 2**14``. The second rule is measured (CHANGES.md has the
+timings): the decode compares column slices of ``pre``, which numpy runs row
+by row, and adds six numpy calls, which only a large sgemm repays. The rule
+reads K*O, not the map size, which ``_conv_fire`` learns only per call, so
+it pairs desk conv4 too: paper conv2's K*O on a 7x7 map.
 
 Two integer identities fold BN->sign thresholds ``(tau, flip)`` (from
 ``layers.fold_bn_sign``) into the single threshold ``t`` at set-up:
@@ -195,7 +189,7 @@ def _pair_channels(ww):
     channels per column, with ``lo = O - O // 2``; when O is odd the last lo
     column has no partner. Any other layer keeps its matrix, with base 0.
     The rule reads K and O only, not the map size, so desk conv4 (K*O = 18432
-    on a 7x7 map) pairs at a 2-7% loss per desk frame.
+    on a 7x7 map) pairs too.
     """
     k, o = ww.shape
     base = 1 << (2 * k + 1).bit_length()

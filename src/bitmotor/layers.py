@@ -53,8 +53,9 @@ class BNParams:
             setattr(self, name, v)
         if np.any(self.sigma2 < 0):
             raise ValueError("sigma2 must be >= 0")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        # an infinite eps folds every channel into one that never fires
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be finite and > 0")
 
     @property
     def channels(self):
@@ -222,7 +223,11 @@ def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
 
 
 class PackedEncoder:
-    """Inference pipeline over bool weights and folded thresholds."""
+    """Inference pipeline over bool weights and folded thresholds.
+
+    Conv stages carry (H, W, C) bool maps; the first FC stage flattens its
+    map into packed words (``kernels.flat_words``), and FC stages pass words.
+    """
 
     def __init__(self, enc: EncoderParams):
         self.input_size = enc.input_size
@@ -247,22 +252,14 @@ class PackedEncoder:
     def feature_words(self, pixels):
         pixels = _check_pixels(pixels, self.input_size, self.in_channels)
         x = self.conv1(pixels)
-        c = self.conv1.out_channels
         if self.conv1_pool:
             x = kernels.pool_or(x)
-        spatial = True
         for kind, k, pool in self.stages:
-            if kind == "conv":
-                x = k(x)
-                c = k.out_channels
-                if pool:
-                    x = kernels.pool_or(x)
-            else:
-                if spatial:
-                    x = kernels.flat_words(x, c)
-                    spatial = False
-                x = k(x)
-                c = k.out_features
+            if kind == "fc" and x.ndim == 3:
+                x = kernels.flat_words(x, x.shape[2])
+            x = k(x)
+            if pool:
+                x = kernels.pool_or(x)
         return x
 
     def features(self, pixels):
@@ -286,22 +283,19 @@ def encoder_forward(img, enc: EncoderParams, path="reference"):
 
     Runs sign(BN(conv)) in float32 on the same quantized input that
     ``PackedEncoder(enc).features`` takes; the two are exactly equal by
-    construction (folding is exact). "reference" is the only ``path``.
+    construction (folding is exact). The first FC stage flattens the last
+    conv map. "reference" is the only ``path``.
     """
     if path != "reference":
         raise ValueError(f"unknown path {path!r}; the packed encoder is PackedEncoder(enc).features")
     img = _check_pixels(img, enc.input_size, enc.layers[0].weights.shape[1])
     x = img.astype(np.float32)
-    spatial = True
     for i, lay in enumerate(enc.layers):
         wsigns = unpack(lay.weights)
         if lay.kind == "conv":
             x = conv2d_float(x, wsigns, pad_value=conv_pad_value(i > 0))
         else:
-            if spatial:
-                x = x.reshape(-1)
-                spatial = False
-            x = fc_float(x, wsigns)
+            x = fc_float(x.reshape(-1), wsigns)
         x = sign_values(bn_forward(x, lay.bn))
         if lay.pool:
             x = maxpool(x)

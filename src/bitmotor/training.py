@@ -7,8 +7,10 @@ float decoder, straight-through (|x| < 1 mask) through every activation
 binarization, and pass-through on weight binarization with shadow weights
 clipped to [-1, 1] after each optimizer step.
 
-Three modes share one graph and differ only in which layers binarize:
-"full" (none), "partial" (encoder only), "binary" (everything).
+The network is one walk of stages: the encoder, a decoder that mirrors it
+stage by stage, and the output conv ``dec_out``. The three modes share that
+walk and differ only in how long a leading run of it binarizes: "full" none,
+"partial" the encoder, "binary" every stage.
 
 Seeded float32 training is reproducible to the bit, so the stage primitives
 are written for speed without changing any sum: each one does the same
@@ -21,6 +23,7 @@ gradients, since nothing reads the gradient of the input image.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isqrt, prod
 
 import numpy as np
 
@@ -43,10 +46,9 @@ from .layers import (
     maxpool,
     nn_index,
     nn_resize,
-    pool_out_size,
 )
 
-MODES = ("full", "binary", "partial")
+MODES = ("full", "partial", "binary")  # mode k binarizes the first k * len(encoder) stages
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running-statistics decay per training batch
 ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba defaults)
@@ -246,24 +248,30 @@ class StageSpec:
 
 
 def _build_stage_specs(cfg: TrainConfig):
+    """The stage walk (encoder, decoder, dec_out) and how many of its leading
+    stages binarize.
+
+    Each decoder stage mirrors an encoder stage, in reverse order, back to
+    that stage's input width; a decoder conv first resizes to its twin's
+    input size, so the last one, ``dec_out``, gives the image back. An
+    encoder stage pads -1 where its input is the output of a binarized stage;
+    decoder convs pad 0.
+    """
     geometry = encoder_geometry(cfg.input_size, cfg.channels, cfg.fc1_out, cfg.feature_dim)
+    n_bin = MODES.index(cfg.mode) * len(geometry)
     enc = [
-        StageSpec("enc_" + name, kind, c_in, c_out, pool,
-                  pad_value=conv_pad_value(i > 0 and cfg.mode != "full"))
+        StageSpec("enc_" + name, kind, c_in, c_out, pool, pad_value=conv_pad_value(0 < i <= n_bin))
         for i, (name, kind, _s, c_in, c_out, pool) in enumerate(geometry)
     ]
-    convs = [stage for stage in geometry if stage[1] == "conv"]
-    # each decoder conv mirrors an encoder conv, back to its input size and width
-    names = [f"dec_conv{i + 1}" for i in range(len(convs) - 1)] + ["dec_out"]
-    *dec_convs, out = [
-        StageSpec(name, "conv", c_out, c_in, resize_to=size)
-        for name, (_n, _k, size, c_in, c_out, _p) in zip(names, convs[::-1])
-    ]
+    mirror = geometry[::-1]  # enc fc2's twin is dec_fc1, enc conv1's is dec_out
+    kinds = [stage[1] for stage in mirror]
+    names = [f"dec_{kind}{kinds[: i + 1].count(kind)}" for i, kind in enumerate(kinds)]
+    names[-1] = "dec_out"
     dec = [
-        StageSpec("dec_fc1", "fc", cfg.feature_dim, cfg.fc1_out),
-        StageSpec("dec_fc2", "fc", cfg.fc1_out, enc[-2].in_dim),
-    ] + dec_convs
-    return enc, dec, out, pool_out_size(convs[-1][2])
+        StageSpec(name, kind, c_out, c_in, resize_to=size if kind == "conv" else None)
+        for name, (_n, kind, size, c_in, c_out, _p) in zip(names, mirror)
+    ]
+    return enc + dec, n_bin
 
 
 class DcaeNet:
@@ -273,32 +281,24 @@ class DcaeNet:
         rng = rng or np.random.default_rng(cfg.seed)
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.enc_specs, self.dec_specs, self.out_spec, self.bottleneck_hw = _build_stage_specs(cfg)
-        if cfg.mode == "full":
-            self.binarized = frozenset()
-        elif cfg.mode == "partial":
-            self.binarized = frozenset(s.name for s in self.enc_specs)
-        else:
-            self.binarized = frozenset(
-                [s.name for s in self.enc_specs + self.dec_specs] + [self.out_spec.name]
-            )
+        self.stages, n_bin = _build_stage_specs(cfg)
+        n_enc = len(self.stages) // 2  # the decoder and dec_out mirror the encoder
+        self.enc_specs, self.dec_specs = self.stages[:n_enc], self.stages[n_enc:-1]
+        self.out_spec = self.stages[-1]
+        self.binarized = frozenset(s.name for s in self.stages[:n_bin])
         self.params = {}
         self.running = {}
-        for spec in self.enc_specs + self.dec_specs:
-            if spec.kind == "conv":
-                fan_in = 9 * spec.in_dim
-                shape = (spec.out_dim, spec.in_dim, 3, 3)
-            else:
-                fan_in = spec.in_dim
-                shape = (spec.out_dim, spec.in_dim)
+        for spec in self.stages:
+            shape = (spec.out_dim, spec.in_dim) + ((3, 3) if spec.kind == "conv" else ())
+            fan_in = prod(shape[1:])
             self.params[spec.name + "_w"] = rng.normal(0, np.sqrt(2.0 / fan_in), shape).astype(self.dtype)
+            if spec is self.out_spec:  # a bias in place of BN
+                self.params[spec.name + "_b"] = np.zeros(spec.out_dim, self.dtype)
+                continue
             self.params[spec.name + "_gamma"] = np.ones(spec.out_dim, self.dtype)
             self.params[spec.name + "_beta"] = np.zeros(spec.out_dim, self.dtype)
             self.running[spec.name + "_mu"] = np.zeros(spec.out_dim, self.dtype)
             self.running[spec.name + "_var"] = np.ones(spec.out_dim, self.dtype)
-        o = self.out_spec
-        self.params[o.name + "_w"] = rng.normal(0, np.sqrt(2.0 / (9 * o.in_dim)), (3, o.in_dim, 3, 3)).astype(self.dtype)
-        self.params[o.name + "_b"] = np.zeros(3, self.dtype)
 
     # -- helpers ------------------------------------------------------------
 
@@ -343,8 +343,9 @@ class DcaeNet:
                 x = entry["x_in"] = x.reshape(len(x), -1)
                 pre = x @ w.T
             else:
-                if x.ndim == 2:  # leaving the FC stages
-                    x = x.reshape(len(x), self.bottleneck_hw, self.bottleneck_hw, spec.in_dim)
+                if x.ndim == 2:  # leaving the FC stages: a square map of in_dim channels
+                    side = isqrt(x.shape[1] // spec.in_dim)
+                    x = x.reshape(len(x), side, side, spec.in_dim)
                 if spec.resize_to is not None:
                     entry["resize"] = x.shape[1:3]
                     x = nn_resize(x, spec.resize_to)
@@ -377,7 +378,7 @@ class DcaeNet:
         """x01: (N, S, S, 3) float in [0, 1]. Returns (recon, tape)."""
         tape = []
         x = np.ascontiguousarray(x01, self.dtype)
-        recon = self._forward(x, self.enc_specs + self.dec_specs + [self.out_spec], tape, update_running)
+        recon = self._forward(x, self.stages, tape, update_running)
         return recon, tape
 
     def backward(self, tape, drecon):
@@ -434,7 +435,7 @@ class DcaeNet:
 
     def reconstruct(self, x01):
         """Eval-mode autoencoder output for (N, S, S, 3) [0,1] inputs."""
-        return self._forward(self.encode(x01), self.dec_specs + [self.out_spec])
+        return self._forward(self.encode(x01), self.stages[len(self.enc_specs) :])
 
     # -- conversion to inference parameter bundles ----------------------------
 
@@ -448,13 +449,13 @@ class DcaeNet:
         lies within rounding of zero: training sums x/255 in float32, the
         deployed encoder sums exact integers.
         """
+        if self.enc_specs[-1].name not in self.binarized:  # binarized stages are a prefix
+            raise ValueError(
+                f"the encoder is not binarized in mode={self.cfg.mode!r}; "
+                "the packed encoder requires a fully binarized encoder"
+            )
         layers = []
         for i, spec in enumerate(self.enc_specs):
-            if spec.name not in self.binarized:
-                raise ValueError(
-                    f"layer {spec.name} is not binarized in mode={self.cfg.mode!r}; "
-                    "the packed encoder requires a fully binarized encoder"
-                )
             w = self.params[spec.name + "_w"] >= 0  # sign_values' rule: 0 is +1
             mu = self.running[spec.name + "_mu"]
             var = self.running[spec.name + "_var"]

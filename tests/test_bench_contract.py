@@ -71,6 +71,8 @@ def test_replay_unpacks_the_stored_weights():
 
 def test_step_flops_is_a_positive_int():
     net = DcaeNet(TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64))
+    # step_flops walks the encoder specs, then the decoder specs and out_spec
+    assert net.enc_specs + net.dec_specs + [net.out_spec] == net.stages
     flops = train_desk.step_flops(net, 4)
     assert isinstance(flops, int) and flops > 0
 

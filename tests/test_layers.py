@@ -244,11 +244,14 @@ class TestBatchNorm:
         assert np.allclose(y.mean(axis=0), beta, atol=1e-3)
         assert np.allclose(y.std(axis=0), np.abs(gamma), atol=1e-3)
 
-    @pytest.mark.parametrize("field", ["gamma", "beta", "mu", "sigma2"])
+    @pytest.mark.parametrize("field", ["gamma", "beta", "mu", "sigma2", "eps"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, bad):
         values = {name: np.ones(3) for name in ("gamma", "beta", "mu", "sigma2")}
-        values[field][1] = bad
+        if field == "eps":
+            values["eps"] = bad
+        else:
+            values[field][1] = bad
         with pytest.raises(ValueError, match=field):
             BNParams(**values)
 

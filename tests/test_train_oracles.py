@@ -14,7 +14,7 @@ import pytest
 from bitmotor import training
 from bitmotor.core import as_float, sign_values
 from bitmotor.kernels import im2col, weight_matrix
-from bitmotor.layers import logistic, maxpool, nn_index
+from bitmotor.layers import logistic, maxpool, nn_index, pool_out_size
 from bitmotor.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -120,6 +120,17 @@ def oracle_pool_fwd(x):
     return out, (idx, h, wd)
 
 
+def oracle_pool_bwd(dout, cache):
+    idx, h, wd = cache
+    n, ho, wo, c = dout.shape
+    dx = np.zeros((n, h, wd, c), dout.dtype)
+    for t in range(9):
+        dy, dx_ = divmod(t, 3)
+        sel = np.where(idx == t, dout, dout.dtype.type(0.0))
+        dx[:, dy : dy + 2 * ho - 1 : 2, dx_ : dx_ + 2 * wo - 1 : 2, :] += sel
+    return dx
+
+
 def oracle_resize_bwd(dout, h, wd):
     size = dout.shape[1]
     row_starts = np.searchsorted(nn_index(h, size), np.arange(h))
@@ -174,7 +185,7 @@ def oracle_backward(self, tape, drecon):
             dpre = (dx * s * (1.0 - s)).astype(self.dtype)
         else:
             if spec.pool:
-                dx = _pool_bwd(dx, entry["pool"])
+                dx = oracle_pool_bwd(dx, entry["pool"])
             dz = self._act_bwd(name, dx, entry["act"])
             dpre, grads[name + "_gamma"], grads[name + "_beta"] = oracle_bn_bwd(dz, entry["bn"])
         if spec.kind == "fc":
@@ -215,11 +226,12 @@ def decoder_resizes():
     pairs = set()
     for size in ("desk", "paper"):
         cfg = TrainConfig.for_size(size)
-        _enc, dec, out, bottleneck = training._build_stage_specs(cfg)
-        h = bottleneck
-        for spec in dec[2:] + [out]:
-            pairs.add((h, spec.resize_to))
-            h = spec.resize_to
+        stages, _n_bin = training._build_stage_specs(cfg)
+        sizes = [spec.resize_to for spec in stages if spec.resize_to is not None]
+        h = pool_out_size(sizes[0])  # the bottleneck: the last encoder conv's pooled output
+        for size in sizes:
+            pairs.add((h, size))
+            h = size
     return sorted(pairs)
 
 
@@ -298,6 +310,21 @@ class TestPoolForward:
         dout = rng.standard_normal(out.shape).astype(dtype)
         assert_bits_equal(_pool_bwd(dout, (idx, h, wd)), _pool_bwd(dout, (idx_old, h, wd)))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("size", [7, 15, 31, 64])
+    @pytest.mark.parametrize("values", ["pm1", "signed"])
+    def test_backward_matches_nine_masked_adds(self, values, size, dtype):
+        # overlapping windows add up to four taps into one pixel, so the
+        # order of the adds shows in the bits; dout has ties and both zeros
+        rng = np.random.default_rng([size, values == "pm1", 9])
+        shape = (2, size, size + 2, 8)
+        if values == "pm1":
+            x = np.where(rng.random(shape) < 0.5, -1.0, 1.0).astype(dtype)
+        else:
+            x = signed_values(rng, shape, dtype)
+        _, cache = _pool_fwd(x)
+        dout = signed_values(rng, cache[0].shape, dtype)
+        assert_bits_equal(_pool_bwd(dout, cache), oracle_pool_bwd(dout, cache))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("values", ["pm1", "signed"])

@@ -8,9 +8,12 @@ from bitmotor.layers import (
     PackedEncoder,
     bn_forward,
     conv2d_float,
+    conv_pad_value,
+    encoder_geometry,
     fc_float,
     logistic,
     nn_resize,
+    pool_out_size,
 )
 from bitmotor.training import (
     BN_EPS,
@@ -48,8 +51,9 @@ def decoder_oracle(net, feat):
         if spec.kind == "fc":
             x = fc_float(x, w)
         else:
-            if x.ndim == 1:
-                x = x.reshape(net.bottleneck_hw, net.bottleneck_hw, spec.in_dim)
+            if x.ndim == 1:  # the bottleneck: the twin encoder conv's pooled output
+                side = pool_out_size(spec.resize_to)
+                x = x.reshape(side, side, spec.in_dim)
             x = conv2d_float(nn_resize(x, spec.resize_to), w, pad_value=spec.pad_value)
         if spec is net.out_spec:
             return logistic(x + net.params[spec.name + "_b"])
@@ -369,6 +373,46 @@ class TestReconstructionConsistency:
         feats = pb.net.encode(x01)
         single = np.stack([decoder_oracle(pb.net, f) for f in feats])
         assert np.allclose(batched, single, atol=1e-6)
+
+
+@pytest.fixture(scope="module", params=[(size, mode) for size in ("desk", "paper")
+                                         for mode in ("full", "partial", "binary")],
+                ids=lambda p: "-".join(p))
+def preset_net(request):
+    size, mode = request.param
+    return DcaeNet(TrainConfig.for_size(size, mode=mode))
+
+
+class TestStageWalk:
+    def test_walk_is_encoder_decoder_out(self, preset_net):
+        net = preset_net
+        assert net.stages == net.enc_specs + net.dec_specs + [net.out_spec]
+        assert net.out_spec.name == "dec_out" and net.out_spec.out_dim == 3
+        assert len(net.dec_specs) + 1 == len(net.enc_specs)
+
+    def test_binarized_is_a_leading_run(self, preset_net):
+        net = preset_net
+        n = {"full": 0, "partial": len(net.enc_specs), "binary": len(net.stages)}[net.cfg.mode]
+        assert net.binarized == frozenset(spec.name for spec in net.stages[:n])
+
+    def test_decoder_mirrors_encoder(self, preset_net):
+        net = preset_net
+        cfg = net.cfg
+        enc, dec = net.enc_specs, net.dec_specs + [net.out_spec]
+        twins = enc[::-1]
+        assert [(s.kind, s.in_dim, s.out_dim) for s in dec] == [(s.kind, s.out_dim, s.in_dim) for s in twins]
+        convs = [f"dec_conv{i}" for i in range(1, len(cfg.channels))]
+        assert [s.name for s in dec] == ["dec_fc1", "dec_fc2"] + convs + ["dec_out"]
+        geometry = encoder_geometry(cfg.input_size, cfg.channels, cfg.fc1_out, cfg.feature_dim)
+        conv_inputs = [size for _n, kind, size, *_ in geometry if kind == "conv"]
+        assert [s.resize_to for s in dec if s.kind == "conv"] == conv_inputs[::-1]
+        assert all(s.resize_to is None for s in dec if s.kind == "fc")
+        by_name = {s.name: s for s in net.stages}
+        assert by_name["dec_fc2"].out_dim == by_name["enc_fc1"].in_dim
+        # encoder stages after the first read +-1 maps unless the mode is full
+        binary_enc = cfg.mode != "full"
+        assert [s.pad_value for s in enc] == [conv_pad_value(i > 0 and binary_enc) for i in range(len(enc))]
+        assert all(s.pad_value == 0.0 for s in dec)
 
 
 class TestConfig:
