@@ -17,7 +17,13 @@ are written for speed without changing any sum: each one does the same
 arithmetic in the same order as the plain form kept beside its tests
 (``tests/test_train_oracles.py``) and only lays memory out differently or
 makes fewer passes. The backward walk stops at the first stage's parameter
-gradients, since nothing reads the gradient of the input image.
+gradients, since nothing reads the gradient of the input image, and it
+consumes the tape ``forward_train`` returned: each saved array is dropped
+after its last reader, so a step's buffers are freed before the next step's
+forward allocates its own.
+
+Eval-mode ``encode`` runs a binarized first stage on the 8-bit pixels, as
+the deployed packed encoder does, so their features agree to the bit.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .layers import (
     BNParams,
     EncoderLayer,
     EncoderParams,
+    bn_forward,
     conv_pad_value,
     encoder_geometry,
     logistic,
@@ -55,6 +62,7 @@ ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba def
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 32  # images per encode call in extract_features
+_ADAM_BLOCK = 1 << 15  # elements per pass of Adam.step, so its temporaries stay in cache
 
 SIZE_PRESETS = {
     "paper": (PAPER_INPUT_SIZE, PAPER_CHANNELS, PAPER_FC1_OUT),
@@ -384,35 +392,40 @@ class DcaeNet:
     def backward(self, tape, drecon):
         """Gradients for every trainable parameter given d(loss)/d(recon).
 
-        The walk ends with the first stage's parameter gradients: the
-        gradient with respect to the image has no reader, so it is never
-        computed.
+        Consumes the tape: each entry is popped as the walk reaches it and
+        each saved array is dropped after its last reader, so a stage's
+        buffers are freed before the stages below it allocate theirs, and
+        the tape is empty on return. The walk ends with the first stage's
+        parameter gradients: the gradient with respect to the image has no
+        reader, so it is never computed.
         """
         grads = {}
         dx = drecon
-        for entry in tape[:0:-1]:
+        while len(tape) > 1:
+            entry = tape.pop()
             dpre = self._param_grads(entry, dx, grads)
             dx = self._input_grad(entry, dpre)
-        self._param_grads(tape[0], dx, grads)
+        self._param_grads(tape.pop(), dx, grads)
         return grads
 
     def _param_grads(self, entry, dout, grads):
         """Back from a stage's output to its pre-activation gradient, which
-        is returned; the stage's parameter gradients go into ``grads``."""
+        is returned; the stage's parameter gradients go into ``grads``.
+        Pops the saved arrays it reads from ``entry``."""
         spec = entry["spec"]
         name = spec.name
         if spec is self.out_spec:
-            s = entry["sig"]
+            s = entry.pop("sig")
             dpre = (dout * s * (1.0 - s)).astype(self.dtype)
         else:
             if spec.pool:
-                dout = _pool_bwd(dout, entry["pool"])
-            dz = self._act_bwd(name, dout, entry["act"])
-            dpre, grads[name + "_gamma"], grads[name + "_beta"] = _bn_bwd(dz, entry["bn"])
+                dout = _pool_bwd(dout, entry.pop("pool"))
+            dz = self._act_bwd(name, dout, entry.pop("act"))
+            dpre, grads[name + "_gamma"], grads[name + "_beta"] = _bn_bwd(dz, entry.pop("bn"))
         if spec.kind == "fc":
-            grads[name + "_w"] = dpre.T @ entry["x_in"]
+            grads[name + "_w"] = dpre.T @ entry.pop("x_in")
         else:
-            grads[name + "_w"] = _conv_weight_grad(dpre, entry["cols"])
+            grads[name + "_w"] = _conv_weight_grad(dpre, entry.pop("cols"))
         if spec is self.out_spec:
             grads[name + "_b"] = dpre.sum(axis=(0, 1, 2))
         return dpre
@@ -430,8 +443,20 @@ class DcaeNet:
     # -- inference-mode forward ----------------------------------------------
 
     def encode(self, x01):
-        """Eval-mode features for (N, S, S, 3) [0,1] inputs: (N, feature_dim)."""
-        return self._forward(np.ascontiguousarray(x01, self.dtype), self.enc_specs)
+        """Eval-mode features for (N, S, S, 3) [0,1] inputs: (N, feature_dim).
+
+        A binarized first stage computes what the deployed encoder computes:
+        it reads the 8-bit pixels rint(255 * x) and applies the pixel-domain
+        BN of ``encoder_params`` through ``layers.bn_forward``, so eval
+        features equal the packed encoder's to the bit.
+        """
+        x = np.ascontiguousarray(x01, self.dtype)
+        first = self.enc_specs[0]
+        if first.name not in self.binarized:
+            return self._forward(x, self.enc_specs)
+        pre, _cols = _conv_fwd(np.rint(x * 255), self._w_eff(first.name), pad_value=first.pad_value)
+        x = sign_values(bn_forward(pre, self._deploy_bn(first))).astype(self.dtype, copy=False)
+        return self._forward(maxpool(x) if first.pool else x, self.enc_specs[1:])
 
     def reconstruct(self, x01):
         """Eval-mode autoencoder output for (N, S, S, 3) [0,1] inputs."""
@@ -439,35 +464,39 @@ class DcaeNet:
 
     # -- conversion to inference parameter bundles ----------------------------
 
+    def _deploy_bn(self, spec):
+        """The BNParams the deployed encoder folds for encoder stage ``spec``.
+
+        The first stage reads 8-bit pixels, not [0,1] values, so its
+        statistics are rescaled into the pixel domain (mu*255, sigma2*255^2,
+        eps*255^2), which preserves sign(BN(v)) in real arithmetic.
+        """
+        mu = self.running[spec.name + "_mu"]
+        var = self.running[spec.name + "_var"]
+        eps = BN_EPS
+        if spec is self.stages[0]:
+            mu = mu * np.float32(255.0)
+            var = var * np.float32(255.0**2)
+            eps = eps * 255.0**2
+        return BNParams(self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"], mu, var, eps=eps)
+
     def encoder_params(self):
         """EncoderParams for the packed/reference integer-pixel pipeline.
 
-        Requires a fully binarized encoder. Conv1's BN is rescaled from the
-        [0,1] training domain into the 8-bit pixel domain (mu*255,
-        sigma2*255^2, eps*255^2), which preserves sign(BN(v)) in real
-        arithmetic. In float32 a conv1 unit can still flip when its BN input
-        lies within rounding of zero: training sums x/255 in float32, the
-        deployed encoder sums exact integers.
+        Requires a fully binarized encoder. Eval-mode ``encode`` applies the
+        same pixel-domain BN to conv1, so ``extract_features`` equals the
+        deployed encoder's features exactly.
         """
         if self.enc_specs[-1].name not in self.binarized:  # binarized stages are a prefix
             raise ValueError(
                 f"the encoder is not binarized in mode={self.cfg.mode!r}; "
                 "the packed encoder requires a fully binarized encoder"
             )
-        layers = []
-        for i, spec in enumerate(self.enc_specs):
-            w = self.params[spec.name + "_w"] >= 0  # sign_values' rule: 0 is +1
-            mu = self.running[spec.name + "_mu"]
-            var = self.running[spec.name + "_var"]
-            eps = BN_EPS
-            if i == 0:
-                mu = mu * np.float32(255.0)
-                var = var * np.float32(255.0**2)
-                eps = eps * 255.0**2
-            bn = BNParams(
-                self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"], mu, var, eps=eps
-            )
-            layers.append(EncoderLayer(spec.name, spec.kind, w, bn, spec.pool))
+        layers = [
+            EncoderLayer(spec.name, spec.kind, self.params[spec.name + "_w"] >= 0,  # sign_values' rule: 0 is +1
+                         self._deploy_bn(spec), spec.pool)
+            for spec in self.enc_specs
+        ]
         return EncoderParams(input_size=self.cfg.input_size, layers=layers)
 
 
@@ -497,22 +526,26 @@ class Adam:
         for k, g in grads.items():
             if g.shape != params[k].shape:
                 raise ValueError(f"gradient shape mismatch for {k}")
-            # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-            # p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)
-            m, v = self.m[k], self.v[k]
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            step = m / b1c
-            step *= self.lr
-            den = v / b2c
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            step /= den
-            params[k] -= step
-            if k in self.clip_names:
-                np.clip(params[k], -1.0, 1.0, out=params[k])
+            flat = [a.reshape(-1, copy=False) for a in (params[k], self.m[k], self.v[k])]
+            g = g.reshape(-1)
+            for i in range(0, g.size, _ADAM_BLOCK):
+                p, m, v = (a[i : i + _ADAM_BLOCK] for a in flat)
+                gb = g[i : i + _ADAM_BLOCK]
+                # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+                # p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * gb
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * gb * gb
+                step = m / b1c
+                step *= self.lr
+                den = v / b2c
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                step /= den
+                p -= step
+                if k in self.clip_names:
+                    np.clip(p, -1.0, 1.0, out=p)
         return self
 
 

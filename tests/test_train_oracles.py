@@ -408,6 +408,28 @@ class TestLogistic:
         assert_bits_equal(logistic(x), oracle_logistic(x))
 
 
+class TestAdamStep:
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_blocks_match_whole_tensor_expression(self, dtype, clip):
+        # 3 full blocks of training._ADAM_BLOCK plus a ragged tail, beside a
+        # tensor smaller than one block
+        rng = np.random.default_rng(8)
+        shapes = {"big": (3 * training._ADAM_BLOCK // 64 + 1, 64), "small": (5, 3)}
+        new = {k: signed_values(rng, s, dtype) for k, s in shapes.items()}
+        old = {k: v.copy() for k, v in new.items()}
+        clip_names = ("big", "small") if clip else ()
+        opt_new = Adam(new, lr=0.05, clip_names=clip_names)
+        opt_old = Adam(old, lr=0.05, clip_names=clip_names)
+        for _ in range(4):
+            grads = {k: signed_values(rng, s, dtype) for k, s in shapes.items()}
+            opt_new.step(new, grads)
+            oracle_adam_step(opt_old, old, grads)
+        for k in shapes:
+            for a, b in ((new[k], old[k]), (opt_new.m[k], opt_old.m[k]), (opt_new.v[k], opt_old.v[k])):
+                assert_bits_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # the whole trainer, seeded
 # ---------------------------------------------------------------------------
