@@ -16,11 +16,21 @@ Seeded float32 training is reproducible to the bit, so the stage primitives
 are written for speed without changing any sum: each one does the same
 arithmetic in the same order as the plain form kept beside its tests
 (``tests/test_train_oracles.py``) and only lays memory out differently or
-makes fewer passes. The backward walk stops at the first stage's parameter
-gradients, since nothing reads the gradient of the input image, and it
-consumes the tape ``forward_train`` returned: each saved array is dropped
-after its last reader, so a step's buffers are freed before the next step's
-forward allocates its own.
+makes fewer passes.
+
+``forward_train``'s tape keeps, per stage, the weights and input of its
+GEMM, BN's normalized values, and a tanh's output or a sign's
+straight-through mask |z| < 1 as bools, plus a pool's window indices. A
+conv keeps the map it read, not its im2col columns, which are nine times
+larger: backward rebuilds them just before the weight gradient, the
+recomputation step of Chen et al. 2016 (arXiv 1604.06174). The walk's last
+conv, ``dec_out``, is the exception and keeps its columns. They are built
+while the forward's memory peaks, and backward reads them first, so
+rebuilding them would cost time and lower no peak. The backward walk stops
+at the first stage's parameter gradients, since nothing reads the gradient
+of the input image, and it consumes the tape: each saved array is dropped
+after its last reader, so a step's buffers are freed before the next
+step's forward allocates its own.
 
 Eval-mode ``encode`` runs a binarized first stage on the 8-bit pixels, as
 the deployed packed encoder does, so their features agree to the bit.
@@ -33,8 +43,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .core import sign_values, ste_backward
-from .kernels import im2col, pool_windows, weight_matrix
+from .core import sign_values
+from .kernels import im2col, pool_out_size, pool_windows, weight_matrix
 from .layers import (
     DESK_CHANNELS,
     DESK_FC1_OUT,
@@ -160,48 +170,86 @@ def _conv_input_grad(dout, w):
     return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 2, 3, 0))
 
 
+def _wide_rows(x):
+    """An (N, H, W, C) map as (N*H, W*C) rows, and a function that tiles a
+    per-channel vector W times to match; other shapes come back as they are.
+
+    A broadcast over the rows computes the same values as one over
+    (..., C), in runs of W*C instead of C. The rows are a view of a
+    contiguous ``x``, so in-place updates reach it.
+    """
+    if x.ndim != 4:
+        return x, lambda v: v
+    w = x.shape[2]
+    return x.reshape(-1, w * x.shape[3]), lambda v: np.tile(v, w)
+
+
 def _bn_fwd(x, gamma, beta):
+    """Batch norm with the batch statistics. Broadcasts run on
+    ``_wide_rows``; sums run on the (..., C) shape, in numpy's order."""
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
-    xhat = x - mu
+    rows, tile = _wide_rows(x)
+    xhat = rows - tile(mu)
     sq = xhat * xhat
     # numpy's own x.var expression, so var is bit-identical to x.var(axes)
-    var = sq.sum(axis=axes) / (x.size // x.shape[-1])
+    var = sq.reshape(x.shape).sum(axis=axes) / (x.size // x.shape[-1])
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv
-    y = np.multiply(xhat, gamma, out=sq)  # gamma * xhat + beta, in sq's buffer
-    y += beta
-    return y, (xhat, inv, gamma), (mu, var)
+    xhat *= tile(inv)
+    y = np.multiply(xhat, tile(gamma), out=sq)  # gamma * xhat + beta, in sq's buffer
+    y += tile(beta)
+    return y.reshape(x.shape), (xhat.reshape(x.shape), inv, gamma), (mu, var)
 
 
 def _bn_bwd(dy, cache):
+    """Backward of ``_bn_fwd``, with its broadcasts on ``_wide_rows`` too."""
     xhat, inv, gamma = cache
     axes = tuple(range(dy.ndim - 1))
     dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
+    rows, tile = _wide_rows(dy)
+    xhat = xhat.reshape(rows.shape)
+    dxhat = rows * tile(gamma)
     t = dxhat * xhat
-    mean_dxhat_xhat = t.mean(axis=axes)
+    mean_dxhat_xhat = t.reshape(dy.shape).mean(axis=axes)
     # in place, in the order of inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-    dxhat -= dxhat.mean(axis=axes)
-    dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=t)
-    dxhat *= inv
-    return dxhat.astype(dy.dtype, copy=False), dgamma, dbeta
+    dxhat -= tile(dxhat.reshape(dy.shape).mean(axis=axes))
+    dxhat -= np.multiply(xhat, tile(mean_dxhat_xhat), out=t)
+    dxhat *= tile(inv)
+    return dxhat.reshape(dy.shape).astype(dy.dtype, copy=False), dgamma, dbeta
+
+
+def _max3(a, b, c):
+    """Elementwise max of three taps, and the index of the first tap that
+    attains it, as uint8.
+
+    A later tap wins only when strictly greater. On a tie ``np.maximum``
+    returns its second argument, so the earlier value stays, -0.0 included.
+    """
+    later = b > a
+    m = np.maximum(b, a)
+    k = (c > m).view(np.uint8) * 2
+    np.maximum(c, m, out=m)
+    np.maximum(k, later.view(np.uint8), out=k)
+    return m, k
 
 
 def _pool_fwd(x):
-    """3x3 stride-2 max pool plus each output's window index, as uint8.
+    """3x3 stride-2 max pool plus each output's window index 3*dy + dx, as
+    uint8.
 
-    A later tap wins only when strictly greater, which is argmax's first-max
-    rule; on +-1 maps nearly every window is a tie. On a tie ``np.maximum``
-    returns its second argument, so the earlier value stays, -0.0 included.
+    Separable: each row's max over the dx taps, then the max of those over
+    the dy taps. Both passes keep the first max, so each output is the first
+    max in (dy, dx) order, argmax's rule; on +-1 maps nearly every window is
+    a tie. A window holding NaN pools to NaN, with an index that may differ
+    from argmax's; training stops on the non-finite loss before backward.
     """
-    views = pool_windows(x)
-    out = views[0].copy()
-    idx = np.zeros(out.shape, np.uint8)
-    for t in range(1, 9):
-        np.putmask(idx, views[t] > out, t)
-        np.maximum(views[t], out, out=out)
+    ho, wo = pool_out_size(x.shape[1]), pool_out_size(x.shape[2])
+    rows, dx = _max3(*(x[:, : 2 * ho + 1, t : t + 2 * wo - 1 : 2] for t in range(3)))
+    out, dy = _max3(*(rows[:, t : t + 2 * ho - 1 : 2] for t in range(3)))
+    dx0, dx1, dx2 = (dx[:, t : t + 2 * ho - 1 : 2] for t in range(3))
+    idx = np.where(dy == 2, dx2, np.where(dy == 1, dx1, dx0))
+    idx += 3 * dy
     return out, (idx, x.shape[1], x.shape[2])
 
 
@@ -315,14 +363,16 @@ class DcaeNet:
         return sign_values(w) if name in self.binarized else w
 
     def _act_fwd(self, name, z):
+        """The activation and what its backward reads: for a sign, the
+        straight-through mask |z| < 1 as bools; for tanh, its output."""
         if name in self.binarized:
-            return sign_values(z).astype(z.dtype, copy=False), z
+            return sign_values(z).astype(z.dtype, copy=False), np.abs(z) < 1.0
         t = np.tanh(z)
         return t, t
 
     def _act_bwd(self, name, dout, cache):
         if name in self.binarized:
-            return ste_backward(cache, dout)
+            return np.where(cache, dout, 0.0)  # core.ste_backward's selection
         return dout * (1.0 - cache * cache)
 
     def _running_bn(self, name, x):
@@ -341,8 +391,10 @@ class DcaeNet:
 
         With a tape, BN normalizes by batch statistics (folded into the
         running ones if update_running) and each stage appends what
-        ``backward`` needs; without one, BN uses the running statistics and
-        pools find no window indices.
+        ``backward`` needs, as the module docstring lists: a conv saves the
+        map its columns are built from, except the last stage of ``specs``,
+        which saves the columns. Without a tape, BN uses the running
+        statistics and pools find no window indices.
         """
         for spec in specs:
             entry = {"spec": spec, "in_shape": x.shape}
@@ -358,7 +410,12 @@ class DcaeNet:
                     entry["resize"] = x.shape[1:3]
                     x = nn_resize(x, spec.resize_to)
                 bias = self.params.get(spec.name + "_b")
-                pre, entry["cols"] = _conv_fwd(x, w, bias, spec.pad_value)
+                pre, cols = _conv_fwd(x, w, bias, spec.pad_value)
+                if spec is specs[-1]:
+                    entry["cols"] = cols
+                else:
+                    entry["x_in"] = x
+                    del cols
             if spec is self.out_spec:
                 x = entry["sig"] = logistic(pre)
             else:
@@ -395,9 +452,11 @@ class DcaeNet:
         Consumes the tape: each entry is popped as the walk reaches it and
         each saved array is dropped after its last reader, so a stage's
         buffers are freed before the stages below it allocate theirs, and
-        the tape is empty on return. The walk ends with the first stage's
-        parameter gradients: the gradient with respect to the image has no
-        reader, so it is never computed.
+        the tape is empty on return. A conv that saved its input gets its
+        columns rebuilt for the weight gradient, and they are freed before
+        the input gradient allocates a column block of the same size. The
+        walk ends with the first stage's parameter gradients: the gradient
+        with respect to the image has no reader, so it is never computed.
         """
         grads = {}
         dx = drecon
@@ -425,7 +484,8 @@ class DcaeNet:
         if spec.kind == "fc":
             grads[name + "_w"] = dpre.T @ entry.pop("x_in")
         else:
-            grads[name + "_w"] = _conv_weight_grad(dpre, entry.pop("cols"))
+            cols = entry.pop("cols") if "cols" in entry else im2col(entry.pop("x_in"), spec.pad_value)
+            grads[name + "_w"] = _conv_weight_grad(dpre, cols)
         if spec is self.out_spec:
             grads[name + "_b"] = dpre.sum(axis=(0, 1, 2))
         return dpre

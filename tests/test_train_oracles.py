@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bitmotor import training
-from bitmotor.core import as_float, sign_values
+from bitmotor.core import as_float, sign_values, ste_backward
 from bitmotor.kernels import im2col, weight_matrix
 from bitmotor.layers import logistic, maxpool, nn_index, pool_out_size
 from bitmotor.training import (
@@ -174,7 +174,11 @@ def oracle_adam_step(self, params, grads):
 
 
 def oracle_backward(self, tape, drecon):
-    """The full reverse walk, down to the gradient of the image."""
+    """The full reverse walk, down to the gradient of the image.
+
+    Reads the tape ``oracle_act_fwd`` fills, whose sign stages keep their
+    input z, and rebuilds the columns of a conv that saved its input.
+    """
     grads = {}
     dx = drecon
     for entry in reversed(tape):
@@ -186,13 +190,17 @@ def oracle_backward(self, tape, drecon):
         else:
             if spec.pool:
                 dx = oracle_pool_bwd(dx, entry["pool"])
-            dz = self._act_bwd(name, dx, entry["act"])
+            if name in self.binarized:
+                dz = ste_backward(entry["act"], dx)
+            else:
+                dz = dx * (1.0 - entry["act"] * entry["act"])
             dpre, grads[name + "_gamma"], grads[name + "_beta"] = oracle_bn_bwd(dz, entry["bn"])
         if spec.kind == "fc":
             dx, grads[name + "_w"] = oracle_fc_bwd(dpre, entry["x_in"], entry["w_eff"])
         else:
             with_bias = spec is self.out_spec
-            dx, grads[name + "_w"], db = oracle_conv_bwd(dpre, entry["cols"], entry["w_eff"], with_bias)
+            cols = entry["cols"] if "cols" in entry else oracle_im2col(entry["x_in"], spec.pad_value)
+            dx, grads[name + "_w"], db = oracle_conv_bwd(dpre, cols, entry["w_eff"], with_bias)
             if with_bias:
                 grads[name + "_b"] = db
             if "resize" in entry:
