@@ -32,8 +32,11 @@ of the input image, and it consumes the tape: each saved array is dropped
 after its last reader, so a step's buffers are freed before the next
 step's forward allocates its own.
 
-Eval-mode ``encode`` runs a binarized first stage on the 8-bit pixels, as
-the deployed packed encoder does, so their features agree to the bit.
+The net reads 8-bit pixels in every mode. ``forward_train``, ``encode`` and
+``reconstruct`` take [0, 1] images and quantize them once, to rint(255 * x),
+the values the deployed packed encoder reads; the reconstruction target
+stays in [0, 1]. On those integers a binarized conv1's pre-activations are
+exact, so eval-mode features equal the packed encoder's to the bit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .layers import (
     BNParams,
     EncoderLayer,
     EncoderParams,
-    bn_forward,
     conv_pad_value,
     encoder_geometry,
     logistic,
@@ -72,6 +74,7 @@ ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba def
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 32  # images per encode call in extract_features
+PIXEL_MAX = 255  # the net reads [0, 1] images as the 8-bit pixels rint(PIXEL_MAX * x)
 _ADAM_BLOCK = 1 << 15  # elements per pass of Adam.step, so its temporaries stay in cache
 
 SIZE_PRESETS = {
@@ -104,6 +107,14 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         self.channels = tuple(int(c) for c in self.channels)
+        for name, low in (("batch_size", 1), ("epochs", 0), ("fc1_out", 1), ("feature_dim", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(f"channels must be one or more widths >= 1, got {self.channels}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     @staticmethod
     def for_size(size, **overrides):
@@ -375,6 +386,11 @@ class DcaeNet:
             return np.where(cache, dout, 0.0)  # core.ste_backward's selection
         return dout * (1.0 - cache * cache)
 
+    def _pixels(self, x01):
+        """[0, 1] images as the pixel values rint(255 * x) in the net's dtype."""
+        x = np.multiply(x01, PIXEL_MAX, dtype=self.dtype)
+        return np.rint(x, out=x)
+
     def _running_bn(self, name, x):
         """Inference BN on the running statistics, in the net's dtype.
 
@@ -440,10 +456,12 @@ class DcaeNet:
         return x
 
     def forward_train(self, x01, update_running=True):
-        """x01: (N, S, S, 3) float in [0, 1]. Returns (recon, tape)."""
+        """x01: (N, S, S, 3) float in [0, 1], read as the pixels rint(255 * x).
+
+        Returns (recon, tape); recon lies in [0, 1], as x01 does.
+        """
         tape = []
-        x = np.ascontiguousarray(x01, self.dtype)
-        recon = self._forward(x, self.stages, tape, update_running)
+        recon = self._forward(self._pixels(x01), self.stages, tape, update_running)
         return recon, tape
 
     def backward(self, tape, drecon):
@@ -505,18 +523,12 @@ class DcaeNet:
     def encode(self, x01):
         """Eval-mode features for (N, S, S, 3) [0,1] inputs: (N, feature_dim).
 
-        A binarized first stage computes what the deployed encoder computes:
-        it reads the 8-bit pixels rint(255 * x) and applies the pixel-domain
-        BN of ``encoder_params`` through ``layers.bn_forward``, so eval
-        features equal the packed encoder's to the bit.
+        The walk reads the pixels rint(255 * x), as the deployed encoder
+        does, and ``_running_bn`` evaluates ``layers.bn_forward``'s float32
+        expression, so the features of a binarized encoder equal the packed
+        encoder's to the bit.
         """
-        x = np.ascontiguousarray(x01, self.dtype)
-        first = self.enc_specs[0]
-        if first.name not in self.binarized:
-            return self._forward(x, self.enc_specs)
-        pre, _cols = _conv_fwd(np.rint(x * 255), self._w_eff(first.name), pad_value=first.pad_value)
-        x = sign_values(bn_forward(pre, self._deploy_bn(first))).astype(self.dtype, copy=False)
-        return self._forward(maxpool(x) if first.pool else x, self.enc_specs[1:])
+        return self._forward(self._pixels(x01), self.enc_specs)
 
     def reconstruct(self, x01):
         """Eval-mode autoencoder output for (N, S, S, 3) [0,1] inputs."""
@@ -524,37 +536,25 @@ class DcaeNet:
 
     # -- conversion to inference parameter bundles ----------------------------
 
-    def _deploy_bn(self, spec):
-        """The BNParams the deployed encoder folds for encoder stage ``spec``.
-
-        The first stage reads 8-bit pixels, not [0,1] values, so its
-        statistics are rescaled into the pixel domain (mu*255, sigma2*255^2,
-        eps*255^2), which preserves sign(BN(v)) in real arithmetic.
-        """
-        mu = self.running[spec.name + "_mu"]
-        var = self.running[spec.name + "_var"]
-        eps = BN_EPS
-        if spec is self.stages[0]:
-            mu = mu * np.float32(255.0)
-            var = var * np.float32(255.0**2)
-            eps = eps * 255.0**2
-        return BNParams(self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"], mu, var, eps=eps)
-
     def encoder_params(self):
         """EncoderParams for the packed/reference integer-pixel pipeline.
 
-        Requires a fully binarized encoder. Eval-mode ``encode`` applies the
-        same pixel-domain BN to conv1, so ``extract_features`` equals the
-        deployed encoder's features exactly.
+        Requires a fully binarized encoder. Each stage folds the BN it
+        trained, conv1's included, since the net reads the same 8-bit pixels,
+        so ``extract_features`` equals the deployed encoder's features
+        exactly.
         """
         if self.enc_specs[-1].name not in self.binarized:  # binarized stages are a prefix
             raise ValueError(
                 f"the encoder is not binarized in mode={self.cfg.mode!r}; "
                 "the packed encoder requires a fully binarized encoder"
             )
+        p, r = self.params, self.running
         layers = [
-            EncoderLayer(spec.name, spec.kind, self.params[spec.name + "_w"] >= 0,  # sign_values' rule: 0 is +1
-                         self._deploy_bn(spec), spec.pool)
+            EncoderLayer(spec.name, spec.kind, p[spec.name + "_w"] >= 0,  # sign_values' rule: 0 is +1
+                         BNParams(p[spec.name + "_gamma"], p[spec.name + "_beta"],
+                                  r[spec.name + "_mu"], r[spec.name + "_var"], eps=BN_EPS),
+                         spec.pool)
             for spec in self.enc_specs
         ]
         return EncoderParams(input_size=self.cfg.input_size, layers=layers)
@@ -629,7 +629,7 @@ def _to_unit(images, size):
     if images.ndim != 4 or images.shape[1:] != (size, size, 3):
         raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {images.shape}")
     if images.dtype == np.uint8:
-        return images.astype(np.float32) / np.float32(255.0)
+        return images.astype(np.float32) / PIXEL_MAX
     if np.any(images < 0) | np.any(images > 1):
         raise ValueError(
             f"non-uint8 images must lie in [0, 1], got values in "
@@ -690,9 +690,9 @@ def _eval_mse(net, images, bs):
 
 
 def extract_features(net: DcaeNet, images):
-    """Eval-mode bottleneck features for uint8 or [0,1] images: (N, feature_dim)."""
+    """Eval-mode features of uint8 or [0,1] images: (N, feature_dim), in the net's dtype."""
     x = _to_unit(images, net.cfg.input_size)
-    out = []
+    out = np.empty((len(x), net.cfg.feature_dim), net.dtype)
     for start in range(0, len(x), EVAL_BATCH):
-        out.append(net.encode(x[start : start + EVAL_BATCH]))
-    return np.concatenate(out, axis=0)
+        out[start : start + EVAL_BATCH] = net.encode(x[start : start + EVAL_BATCH])
+    return out

@@ -16,7 +16,7 @@ def test_prints_one_line_per_seed_and_epoch():
 
 
 def test_seed_10_after_3_epochs_deploys_exactly():
-    # here conv1 units of one held-out image lie within float32 rounding of
-    # their BN threshold, so eval agrees with the deployed encoder only if it
-    # sums the integer pixels as the deployed conv1 does
+    # the benchmark recipe at the seed and epoch where eval and deploy once
+    # disagreed; the near-threshold case of parity now lives in
+    # test_training's test_near_zero_variance_conv1
     assert [bad for _epoch, bad in parity_sweep.mismatches(10, 3)] == [0, 0, 0]

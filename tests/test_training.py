@@ -370,6 +370,30 @@ class TestTrainDcae:
         ff = extract_features(full.net, imgs)
         assert np.all(np.abs(ff) < 1.0)  # tanh features
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_features_of_no_images(self, dtype):
+        net = DcaeNet(micro_cfg("partial"), dtype=dtype)
+        feats = extract_features(net, np.zeros((0, 16, 16, 3), np.uint8))
+        assert feats.shape == (0, 64) and feats.dtype == dtype
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_off_grid_images_read_as_their_pixels(self, mode):
+        # the net reads rint(255 * x) in every mode, so float images off the
+        # 1/255 grid train and evaluate exactly as the 8-bit images they round to
+        x = np.random.default_rng(12).random((4, 16, 16, 3)).astype(np.float32)
+        q = np.rint(x * np.float32(255.0)) / np.float32(255.0)
+        assert not np.array_equal(x, q)
+        nets = [DcaeNet(micro_cfg(mode)) for _ in (x, q)]
+        recon_x, recon_q = (net.forward_train(img)[0] for net, img in zip(nets, (x, q)))
+        assert np.array_equal(recon_x, recon_q)
+        for k in nets[0].running:
+            assert np.array_equal(nets[0].running[k], nets[1].running[k]), k
+        for method in ("encode", "reconstruct"):
+            out_x, out_q = (getattr(net, method)(img) for net, img in zip(nets, (x, q)))
+            assert np.array_equal(out_x, out_q), method
+
 
 class TestDeployParity:
     @pytest.mark.parametrize("mode", ["partial", "binary"])
@@ -386,15 +410,16 @@ class TestDeployParity:
             assert np.array_equal(deployed.features(img), feat)
 
     def test_near_zero_variance_conv1(self):
-        # conv1 running var far below eps, running mean at the data median,
-        # |beta| up to 3: many conv1 units sit where BN's sign turns on eps,
-        # so deploy must rescale eps with mu and var
+        # conv1 running var far below eps, running mean at the median of its
+        # integer pre-activations, |beta| up to 3: many conv1 units sit where
+        # BN's sign turns on eps, so deploy must fold the eps training uses.
+        # This is the near-threshold case of train -> deploy parity
         for trial in range(20):
             rng = np.random.default_rng(trial)
             net = DcaeNet(micro_cfg("partial"), rng)
             imgs = rng.integers(0, 256, (16, 16, 16, 3), dtype=np.uint8)
             w = sign_values(net.params["enc_conv1_w"])
-            pre = conv2d_float(imgs.astype(np.float32) / np.float32(255.0), w)
+            pre = conv2d_float(imgs.astype(np.float32), w)
             net.running["enc_conv1_mu"][:] = np.median(pre, axis=(0, 1, 2))
             net.running["enc_conv1_var"][:] = 1e-6
             net.params["enc_conv1_beta"][:] = rng.uniform(-3, 3, len(w))
@@ -476,3 +501,12 @@ class TestConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             TrainConfig(mode="float16")
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -1), ("epochs", -1),
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("channels", (8, 0)), ("channels", ()), ("fc1_out", 0), ("feature_dim", 0),
+    ], ids=str)
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            micro_cfg(**{field: value})
