@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isqrt, prod
+from numbers import Integral
 
 import numpy as np
 
 from .core import sign_values
-from .kernels import im2col, pool_out_size, pool_windows, weight_matrix
+from .kernels import im2col, pool_out_size, weight_matrix
 from .layers import (
     DESK_CHANNELS,
     DESK_FC1_OUT,
@@ -107,14 +108,23 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         self.channels = tuple(int(c) for c in self.channels)
-        for name, low in (("batch_size", 1), ("epochs", 0), ("fc1_out", 1), ("feature_dim", 1)):
+        for name, low in (("input_size", 1), ("batch_size", 1), ("epochs", 0), ("fc1_out", 1),
+                          ("feature_dim", 1), ("seed", 0)):
             value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not self.channels or min(self.channels) < 1:
             raise ValueError(f"channels must be one or more widths >= 1, got {self.channels}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        try:
+            encoder_geometry(self.input_size, self.channels, self.fc1_out, self.feature_dim)
+        except ValueError as e:
+            raise ValueError(
+                f"input_size {self.input_size} is too small for {len(self.channels)} pooled conv stages"
+            ) from e
 
     @staticmethod
     def for_size(size, **overrides):
@@ -163,22 +173,51 @@ def _conv_weight_grad(dout, cols):
 def _conv_input_grad(dout, w):
     """Input gradient of ``_conv_fwd``: the adjoint of im2col (col2im).
 
-    The columns are computed tap-major, ``(3, 3, C, N, H, W)``, and the nine
+    The columns are computed tap-major, ``(9, C, N, H, W)``, and the nine
     taps are added in (dy, dx) order into a channel-first padded map, so each
     add moves runs of W values instead of C. Every pixel still receives its
     nine taps in the same order as a pixel-major col2im. The columns come
     from ``w @ dout.T``; OpenBLAS's sgemm rounds that as it rounds
     ``dout @ w.T``, though BLAS does not promise it, and its dgemm differs
     in the last bit on some shapes (float64 nets serve gradient checks).
+
+    With fewer than 8 output channels (the walk's ``dec_out`` at both
+    presets) each tap's ``(C, N*H*W)`` block is its own sgemm, over that
+    tap's rows of the weight matrix, made just before it is added. The
+    blocks are row subsets of the one-shot sgemm, added in the same (dy, dx)
+    order. The rule reads the shapes only.
     """
     n, h, wd, o = dout.shape
     c = w.shape[1]
-    dcols = (weight_matrix(w) @ dout.reshape(-1, o).T).reshape(3, 3, c, n, h, wd)
-    dxp = np.zeros((c, n, h + 2, wd + 2), dcols.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[dy, dx]
+    wm = weight_matrix(w)
+    dt = dout.reshape(-1, o).T
+    if o < 8:
+        blocks = ((wm[t * c : (t + 1) * c] @ dt).reshape(c, n, h, wd) for t in range(9))
+    else:
+        blocks = (wm @ dt).reshape(9, c, n, h, wd)
+    dxp = np.zeros((c, n, h + 2, wd + 2), np.result_type(wm, dt))
+    for t, block in enumerate(blocks):
+        dy, dx = divmod(t, 3)
+        dxp[:, :, dy : dy + h, dx : dx + wd] += block
     return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 2, 3, 0))
+
+
+def _chan_sum(*factors):
+    """Per-channel sum, over every axis but the last, of one map or of the
+    elementwise product of two maps of the same shape.
+
+    The sum runs over the (-1, C) rows in row order, in one ``np.einsum``
+    pass. That is the order in which numpy's ``sum`` reduces the leading
+    axes of a contiguous map, so the two agree to the bit. With one channel
+    numpy sums pairwise along the contiguous axis instead, so that case
+    keeps numpy's ``sum``.
+    """
+    c = factors[0].shape[-1]
+    if c == 1:
+        x = factors[0] if len(factors) == 1 else np.multiply(*factors)
+        return x.sum(axis=tuple(range(x.ndim - 1)))
+    subscripts = ",".join(["ij"] * len(factors)) + "->j"
+    return np.einsum(subscripts, *(f.reshape(-1, c) for f in factors))
 
 
 def _wide_rows(x):
@@ -197,14 +236,14 @@ def _wide_rows(x):
 
 def _bn_fwd(x, gamma, beta):
     """Batch norm with the batch statistics. Broadcasts run on
-    ``_wide_rows``; sums run on the (..., C) shape, in numpy's order."""
-    axes = tuple(range(x.ndim - 1))
-    mu = x.mean(axis=axes)
+    ``_wide_rows``; sums are ``_chan_sum``'s, in numpy's order."""
+    count = x.size // x.shape[-1]
+    mu = _chan_sum(x) / count  # x.mean's sum / count
     rows, tile = _wide_rows(x)
     xhat = rows - tile(mu)
     sq = xhat * xhat
     # numpy's own x.var expression, so var is bit-identical to x.var(axes)
-    var = sq.reshape(x.shape).sum(axis=axes) / (x.size // x.shape[-1])
+    var = _chan_sum(sq.reshape(x.shape)) / count
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= tile(inv)
     y = np.multiply(xhat, tile(gamma), out=sq)  # gamma * xhat + beta, in sq's buffer
@@ -215,17 +254,16 @@ def _bn_fwd(x, gamma, beta):
 def _bn_bwd(dy, cache):
     """Backward of ``_bn_fwd``, with its broadcasts on ``_wide_rows`` too."""
     xhat, inv, gamma = cache
-    axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
+    count = dy.size // dy.shape[-1]
+    dgamma = _chan_sum(dy, xhat)
+    dbeta = _chan_sum(dy)
     rows, tile = _wide_rows(dy)
     xhat = xhat.reshape(rows.shape)
     dxhat = rows * tile(gamma)
-    t = dxhat * xhat
-    mean_dxhat_xhat = t.reshape(dy.shape).mean(axis=axes)
+    mean_dxhat_xhat = _chan_sum(dxhat.reshape(dy.shape), xhat.reshape(dy.shape)) / count
     # in place, in the order of inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-    dxhat -= tile(dxhat.reshape(dy.shape).mean(axis=axes))
-    dxhat -= np.multiply(xhat, tile(mean_dxhat_xhat), out=t)
+    dxhat -= tile(_chan_sum(dxhat.reshape(dy.shape)) / count)
+    dxhat -= xhat * tile(mean_dxhat_xhat)
     dxhat *= tile(inv)
     return dxhat.reshape(dy.shape).astype(dy.dtype, copy=False), dgamma, dbeta
 
@@ -265,11 +303,28 @@ def _pool_fwd(x):
 
 
 def _pool_bwd(dout, cache):
+    """Adjoint of ``_pool_fwd``: each output's gradient goes to the pixel its
+    window index names.
+
+    One ``np.add.at`` scatter from +0.0, over the outputs in reverse raster
+    order. A pixel shared by overlapping windows is tap (dy, dx) of the
+    window 2*dy rows and 2*dx columns above it, so later windows reach it
+    by earlier taps, and it receives its taps in (dy, dx) order, the order
+    of nine masked adds, one per tap.
+    """
     idx, h, wd = cache
-    n, _, _, c = dout.shape
+    n, ho, wo, c = dout.shape
     dx = np.zeros((n, h, wd, c), dout.dtype)
-    for t, view in enumerate(pool_windows(dx)):
-        view += np.where(idx == t, dout, 0)
+    taps = np.arange(9)
+    offset = (taps // 3 * wd + taps % 3) * c  # tap 3*dy + dx -> (dy*W + dx)*C
+    corner = (  # flat index of each output's window corner, (b, 2i, 2j, ch)
+        np.arange(n)[:, None, None, None] * (h * wd * c)
+        + np.arange(ho)[:, None, None] * (2 * wd * c)
+        + np.arange(wo)[:, None] * (2 * c)
+        + np.arange(c)
+    )
+    target = offset[idx] + corner
+    np.add.at(dx.reshape(-1), target.reshape(-1)[::-1], dout.reshape(-1)[::-1])
     return dx
 
 
@@ -398,7 +453,11 @@ class DcaeNet:
         agree to the bit; ``bn_forward`` itself always computes in float32.
         """
         k = self.params[name + "_gamma"] / np.sqrt(self.running[name + "_var"] + BN_EPS)
-        return (x - self.running[name + "_mu"]) * k + self.params[name + "_beta"]
+        rows, tile = _wide_rows(x)
+        y = rows - tile(self.running[name + "_mu"])  # (x - mu) * k + beta, in place
+        y *= tile(k)
+        y += tile(self.params[name + "_beta"])
+        return y.reshape(x.shape)
 
     # -- the stage walk -------------------------------------------------------
 
@@ -505,7 +564,7 @@ class DcaeNet:
             cols = entry.pop("cols") if "cols" in entry else im2col(entry.pop("x_in"), spec.pad_value)
             grads[name + "_w"] = _conv_weight_grad(dpre, cols)
         if spec is self.out_spec:
-            grads[name + "_b"] = dpre.sum(axis=(0, 1, 2))
+            grads[name + "_b"] = _chan_sum(dpre)
         return dpre
 
     def _input_grad(self, entry, dpre):
@@ -580,12 +639,18 @@ class Adam:
         self.clip_names = frozenset(clip_names)
 
     def step(self, params, grads):
+        """One update of every parameter named in ``grads``. A gradient for an
+        unknown parameter, or of the wrong shape, raises ``ValueError``
+        before anything is updated."""
+        for k, g in grads.items():
+            if k not in params or k not in self.m:
+                raise ValueError(f"gradient for unknown parameter {k!r}")
+            if g.shape != params[k].shape:
+                raise ValueError(f"gradient shape mismatch for {k}")
         self.t += 1
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            if g.shape != params[k].shape:
-                raise ValueError(f"gradient shape mismatch for {k}")
             flat = [a.reshape(-1, copy=False) for a in (params[k], self.m[k], self.v[k])]
             g = g.reshape(-1)
             for i in range(0, g.size, _ADAM_BLOCK):

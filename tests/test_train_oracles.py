@@ -8,6 +8,8 @@ into ``training`` and once without, and requires identical results: seeded
 float32 curves must not move when a primitive gets faster.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,20 @@ def signed_values(rng, shape, dtype):
     return x.astype(dtype)
 
 
+def conv_inputs(size, batch):
+    """(batch, side, channels) of the input of every conv in a preset's walk."""
+    cfg = TrainConfig.for_size(size)
+    stages, _n_bin = training._build_stage_specs(cfg)
+    side = cfg.input_size
+    shapes = []
+    for spec in stages:
+        if spec.kind == "conv":
+            side = spec.resize_to or side
+            shapes.append((batch, side, spec.in_dim))
+            side = pool_out_size(side) if spec.pool else side
+    return shapes
+
+
 def decoder_resizes():
     """(input size, output size) of every decoder resize at the two presets."""
     pairs = set()
@@ -297,6 +313,24 @@ class TestConvBackward:
             assert dx.dtype == dx_old.dtype and dx.shape == dx_old.shape
             np.testing.assert_allclose(dx, dx_old, rtol=0, atol=1e-13 * np.abs(dx_old).max())
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("o", [3, 16])
+    @pytest.mark.parametrize("n, size, c", conv_inputs("desk", 16) + [(1, 142, 32)])
+    def test_both_col2im_paths_on_stage_shapes(self, n, size, c, o, dtype):
+        # O = 3 takes the by-tap path, O = 16 the one-shot block; the shapes
+        # are every desk conv's input at batch 16 and paper dec_out's at 1
+        rng = np.random.default_rng([size, c, o])
+        w = rng.standard_normal((o, c, 3, 3)).astype(dtype)
+        dout = signed_values(rng, (n, size, size, o), dtype)
+        cols = np.zeros((n, size, size, 9 * c), dtype)  # the weight gradient is not under test
+        dx_old = np.ascontiguousarray(oracle_conv_bwd(dout, cols, w)[0])
+        dx = _conv_input_grad(dout, w)
+        if dtype is np.float32:
+            assert_bits_equal(dx, dx_old)
+        else:  # dgemm's rounding, as in test_matches_nine_add_col2im
+            assert dx.dtype == dx_old.dtype and dx.shape == dx_old.shape
+            np.testing.assert_allclose(dx, dx_old, rtol=0, atol=1e-13 * np.abs(dx_old).max())
+
 
 class TestPoolForward:
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -333,6 +367,31 @@ class TestPoolForward:
         _, cache = _pool_fwd(x)
         dout = signed_values(rng, cache[0].shape, dtype)
         assert_bits_equal(_pool_bwd(dout, cache), oracle_pool_bwd(dout, cache))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_backward_adds_a_shared_pixel_in_tap_order(self, dtype):
+        # pixel (2, 2) is the max of the four windows that overlap on it: tap
+        # (0, 0) of output (1, 1), (0, 2) of (1, 0), (2, 0) of (0, 1) and
+        # (2, 2) of (0, 0), added from +0.0 in that order. Only the first two
+        # adds commute; dout makes every other order give other bits
+        x = np.zeros((1, 5, 5, 1), dtype)
+        x[0, 2, 2, 0] = 1.0
+        _, cache = _pool_fwd(x)
+        assert np.array_equal(cache[0][0, :, :, 0], [[8, 6], [2, 0]])
+        big = 1.0 / np.finfo(dtype).eps
+        dout = np.array([[2.0, -7.0 * big], [7.0, -5.0]], dtype).reshape(1, 2, 2, 1)
+        taps = dout.reshape(-1)[::-1]  # outputs (1, 1), (1, 0), (0, 1), (0, 0)
+        sums = {}
+        for perm in itertools.permutations(range(4)):
+            acc = dtype(0.0)
+            for k in perm:
+                acc = acc + taps[k]
+            sums[perm] = acc
+        want = sums[(0, 1, 2, 3)]
+        assert all(v != want for p, v in sums.items() if p[2:] != (2, 3))
+        got = _pool_bwd(dout, cache)
+        assert got[0, 2, 2, 0] == want
+        assert_bits_equal(got, oracle_pool_bwd(dout, cache))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("values", ["pm1", "signed"])
@@ -378,7 +437,10 @@ class TestResizeBackward:
 
 class TestBatchNorm:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("shape", [(2, 7, 7, 3), (16, 15, 15, 8), (4, 31, 31, 64), (16, 64)])
+    # the desk stage maps at batch 16, a few others, and one channel, where
+    # numpy's sum is pairwise rather than row by row
+    @pytest.mark.parametrize("shape", [(2, 7, 7, 3), (16, 15, 15, 8), (4, 31, 31, 64), (16, 64),
+                                       (16, 64, 64, 8), (16, 31, 31, 16), (16, 7, 7, 64), (3, 7, 7, 1)])
     def test_matches_x_var_and_one_expression_backward(self, shape, dtype):
         rng = np.random.default_rng(len(shape) + shape[-1])
         x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)

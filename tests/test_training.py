@@ -275,6 +275,13 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step(params, {"w": np.zeros(5, np.float32)})
 
+    def test_unknown_key(self):
+        params = {"w": np.zeros(4, np.float32)}
+        opt = Adam(params)
+        with pytest.raises(ValueError, match="'b'"):
+            opt.step(params, {"w": np.ones(4, np.float32), "b": np.zeros(4, np.float32)})
+        assert opt.t == 0 and not params["w"].any()  # nothing was updated
+
 
 class TestTrainDcae:
     def test_overfit_smoke_partial(self):
@@ -506,6 +513,9 @@ class TestConfig:
         ("batch_size", 0), ("batch_size", -1), ("epochs", -1),
         ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", np.nan), ("learning_rate", np.inf),
         ("channels", (8, 0)), ("channels", ()), ("fc1_out", 0), ("feature_dim", 0),
+        # the micro encoder's two pools need an input_size of at least 7
+        ("input_size", 4), ("input_size", 0), ("input_size", -3), ("seed", -1),
+        ("batch_size", 2.5), ("epochs", 3.0), ("input_size", 16.0), ("input_size", True),
     ], ids=str)
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
