@@ -79,15 +79,17 @@ they are cast to float32, which keeps them exact without changing any
 comparison.
 
 The 3x3 stride-2 pool's geometry is ``pool_out_size`` and ``pool_windows``.
-``pool_or`` ORs bool maps separably; ``layers.maxpool`` and the trainer's
-``_pool_fwd``, which also keeps each max's tap, run over ``pool_windows``.
+``pool_or`` ORs bool maps separably and ``layers.maxpool`` runs over
+``pool_windows``; the trainer's ``_pool_fwd``, which also keeps each max's
+tap, takes its own separable strided slices of the same windows.
 
 ``im2col`` lays out the 3x3 windows of a channels-last map as columns
 ordered (dy, dx, c), and ``weight_matrix`` lays out (O, C, 3, 3) weights as
 the matching (9*C, O) matrix, so a conv is one matrix product. The trainer
-(``training._conv_fwd``, whose weight gradient reuses the columns) and the
-float reference (``layers.conv2d_float``) use ``im2col``; the packed convs
-do not.
+(``training._conv_fwd``; backward builds the columns again from the saved
+input for the weight gradient, except at the walk's last conv, which keeps
+them) and the float reference (``layers.conv2d_float``) use ``im2col``; the
+packed convs do not.
 
 Fully-connected stages stay XNOR-popcount on packed words: the flattened
 conv map is packed row-major into ``ceil(n/64)`` uint64 words, bit i at

@@ -110,8 +110,9 @@ def fc_float(x, weights):
 def maxpool(x):
     """3x3 stride-2 max pool (the only Table-consistent geometry).
 
-    Channels-last float maps, optionally batched; the dtype is kept. The
-    taps are taken in ``training._pool_fwd``'s order and ``np.maximum``
+    Channels-last float or bool maps, optionally batched; the dtype is
+    kept, and on bools the max is an OR. The taps are taken in
+    ``training._pool_fwd``'s order and ``np.maximum``
     returns its second argument on a tie, so the earlier value stays, -0.0
     included, and the result is ``_pool_fwd``'s max without the indices.
     """

@@ -16,7 +16,15 @@ Seeded float32 training is reproducible to the bit, so the stage primitives
 are written for speed without changing any sum: each one does the same
 arithmetic in the same order as the plain form kept beside its tests
 (``tests/test_train_oracles.py``) and only lays memory out differently or
-makes fewer passes.
+makes fewer passes. Three of them shape the whole walk:
+
+- A conv's input gradient is col2im by tap: each tap (dy, dx), in that
+  order, is a column subset of ``dout @ wm.T``, the plain form's GEMM,
+  added into the channels-last map it came from.
+- A binarized stage carries its activation as sign bits until after its
+  pool and only then makes the +-1 values, once per stage.
+- The straight-through gradient is an exact select on the gradient's bits,
+  equal to ``np.where(mask, g, 0.0)``.
 
 ``forward_train``'s tape keeps, per stage, the weights and input of its
 GEMM, BN's normalized values, and a tanh's output or a sign's
@@ -47,7 +55,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import sign_values
+from .core import sign_values, unpack
 from .kernels import im2col, pool_out_size, weight_matrix
 from .layers import (
     DESK_CHANNELS,
@@ -158,7 +166,7 @@ def _conv_fwd(x, w, bias=None, pad_value=0.0):
     cols = im2col(x, pad_value)
     out = (cols.reshape(-1, 9 * c) @ weight_matrix(w)).reshape(n, h, wd, -1)
     if bias is not None:
-        out = out + bias
+        out += bias
     return out, cols
 
 
@@ -173,33 +181,34 @@ def _conv_weight_grad(dout, cols):
 def _conv_input_grad(dout, w):
     """Input gradient of ``_conv_fwd``: the adjoint of im2col (col2im).
 
-    The columns are computed tap-major, ``(9, C, N, H, W)``, and the nine
-    taps are added in (dy, dx) order into a channel-first padded map, so each
-    add moves runs of W values instead of C. Every pixel still receives its
-    nine taps in the same order as a pixel-major col2im. The columns come
-    from ``w @ dout.T``; OpenBLAS's sgemm rounds that as it rounds
-    ``dout @ w.T``, though BLAS does not promise it, and its dgemm differs
-    in the last bit on some shapes (float64 nets serve gradient checks).
-
-    With fewer than 8 output channels (the walk's ``dec_out`` at both
-    presets) each tap's ``(C, N*H*W)`` block is its own sgemm, over that
-    tap's rows of the weight matrix, made just before it is added. The
-    blocks are row subsets of the one-shot sgemm, added in the same (dy, dx)
-    order. The rule reads the shapes only.
+    The columns ``dout @ wm.T`` are made one tap at a time: tap t = 3*dy + dx
+    is columns ``t*C : (t+1)*C``, the sgemm of ``dout`` against that tap's
+    rows of the weight matrix, written into one reused ``(N, H, W, C)``
+    block. Each block is added, in (dy, dx) order, into the channels-last
+    input gradient through slices shifted by (dy - 1, dx - 1) and clipped to
+    the map; what falls outside is the padded border, which has no
+    gradient. Every pixel receives its nine taps from +0.0 in the order of
+    the plain col2im, which adds the full columns into a padded map.
     """
     n, h, wd, o = dout.shape
     c = w.shape[1]
     wm = weight_matrix(w)
-    dt = dout.reshape(-1, o).T
-    if o < 8:
-        blocks = ((wm[t * c : (t + 1) * c] @ dt).reshape(c, n, h, wd) for t in range(9))
-    else:
-        blocks = (wm @ dt).reshape(9, c, n, h, wd)
-    dxp = np.zeros((c, n, h + 2, wd + 2), np.result_type(wm, dt))
-    for t, block in enumerate(blocks):
+    d2 = dout.reshape(-1, o)
+    dtype = np.result_type(wm, d2)
+    block = np.empty((n, h, wd, c), dtype)
+    grad = np.zeros((n, h, wd, c), dtype)
+    for t in range(9):
         dy, dx = divmod(t, 3)
-        dxp[:, :, dy : dy + h, dx : dx + wd] += block
-    return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 2, 3, 0))
+        np.matmul(d2, wm[t * c : (t + 1) * c].T, out=block.reshape(-1, c))
+        (ry, sy), (rx, sx) = _shifted(dy - 1, h), _shifted(dx - 1, wd)
+        grad[:, ry, rx] += block[:, sy, sx]
+    return grad
+
+
+def _shifted(d, m):
+    """Slices (to, from) that add ``src[i]`` into ``dst[i + d]`` wherever
+    both lie in ``range(m)``."""
+    return slice(max(d, 0), m - max(-d, 0)), slice(max(-d, 0), m - max(d, 0))
 
 
 def _chan_sum(*factors):
@@ -241,12 +250,12 @@ def _bn_fwd(x, gamma, beta):
     mu = _chan_sum(x) / count  # x.mean's sum / count
     rows, tile = _wide_rows(x)
     xhat = rows - tile(mu)
-    sq = xhat * xhat
-    # numpy's own x.var expression, so var is bit-identical to x.var(axes)
-    var = _chan_sum(sq.reshape(x.shape)) / count
+    # the sum of xhat * xhat, numpy's own x.var expression, so var is
+    # bit-identical to x.var(axes)
+    var = _chan_sum(xhat.reshape(x.shape), xhat.reshape(x.shape)) / count
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= tile(inv)
-    y = np.multiply(xhat, tile(gamma), out=sq)  # gamma * xhat + beta, in sq's buffer
+    y = xhat * tile(gamma)  # gamma * xhat + beta
     y += tile(beta)
     return y.reshape(x.shape), (xhat.reshape(x.shape), inv, gamma), (mu, var)
 
@@ -266,6 +275,18 @@ def _bn_bwd(dy, cache):
     dxhat -= xhat * tile(mean_dxhat_xhat)
     dxhat *= tile(inv)
     return dxhat.reshape(dy.shape).astype(dy.dtype, copy=False), dgamma, dbeta
+
+
+def _select(mask, g):
+    """``np.where(mask, g, 0.0)`` for a float array ``g`` and a bool mask of
+    its shape, to the bit: ``g``'s bits ANDed with all ones where ``mask``
+    holds and with zeros elsewhere. Kept elements keep every bit, -0.0 and
+    NaN included, and dropped ones are +0.0, as the select makes them."""
+    uint = np.dtype(f"u{g.dtype.itemsize}")
+    bits = mask.astype(uint)
+    np.negative(bits, out=bits)
+    bits &= g.view(uint)
+    return bits.view(g.dtype)
 
 
 def _max3(a, b, c):
@@ -289,16 +310,19 @@ def _pool_fwd(x):
 
     Separable: each row's max over the dx taps, then the max of those over
     the dy taps. Both passes keep the first max, so each output is the first
-    max in (dy, dx) order, argmax's rule; on +-1 maps nearly every window is
-    a tie. A window holding NaN pools to NaN, with an index that may differ
-    from argmax's; training stops on the non-finite loss before backward.
+    max in (dy, dx) order, argmax's rule; the index adds the dx of the row
+    that dy picked through uint8 masks. A binarized stage pools its sign
+    bits, a bool map, where nearly every window is a tie; True > False as
+    +1 > -1, so the maxima and indices are those of the +-1 map. A window
+    holding NaN pools to NaN, with an index that may differ from argmax's;
+    training stops on the non-finite loss before backward.
     """
     ho, wo = pool_out_size(x.shape[1]), pool_out_size(x.shape[2])
     rows, dx = _max3(*(x[:, : 2 * ho + 1, t : t + 2 * wo - 1 : 2] for t in range(3)))
     out, dy = _max3(*(rows[:, t : t + 2 * ho - 1 : 2] for t in range(3)))
-    dx0, dx1, dx2 = (dx[:, t : t + 2 * ho - 1 : 2] for t in range(3))
-    idx = np.where(dy == 2, dx2, np.where(dy == 1, dx1, dx0))
-    idx += 3 * dy
+    idx = 3 * dy
+    for t in range(3):  # add the dx of the row that dy picked
+        idx += dx[:, t : t + 2 * ho - 1 : 2] * (dy == t).view(np.uint8)
     return out, (idx, x.shape[1], x.shape[2])
 
 
@@ -429,20 +453,29 @@ class DcaeNet:
         return sign_values(w) if name in self.binarized else w
 
     def _act_fwd(self, name, z):
-        """The activation and what its backward reads: for a sign, the
-        straight-through mask |z| < 1 as bools; for tanh, its output."""
+        """The activation and what its backward reads.
+
+        A sign returns its bits, ``z >= 0`` (True for +1, ``sign_values``'
+        rule), and the straight-through mask |z| < 1, both as bools;
+        ``_forward`` turns the bits into +-1 values after the stage's pool,
+        which picks the same maxima and window indices from the bits as
+        from the values, since the map from bits to values is monotone.
+        tanh returns its output twice.
+        """
         if name in self.binarized:
-            return sign_values(z).astype(z.dtype, copy=False), np.abs(z) < 1.0
+            return z >= 0, np.abs(z) < 1.0
         t = np.tanh(z)
         return t, t
 
     def _act_bwd(self, name, dout, cache):
         if name in self.binarized:
-            return np.where(cache, dout, 0.0)  # core.ste_backward's selection
+            return _select(cache, dout)  # core.ste_backward's selection
         return dout * (1.0 - cache * cache)
 
     def _pixels(self, x01):
-        """[0, 1] images as the pixel values rint(255 * x) in the net's dtype."""
+        """[0, 1] images (N, S, S, 3) as the pixel values rint(255 * x) in the
+        net's dtype; a batch of another shape raises ``ValueError``."""
+        _check_shape(np.shape(x01), self.cfg.input_size)
         x = np.multiply(x01, PIXEL_MAX, dtype=self.dtype)
         return np.rint(x, out=x)
 
@@ -510,6 +543,8 @@ class DcaeNet:
                     x = maxpool(x)
                 elif spec.pool:
                     x, entry["pool"] = _pool_fwd(x)
+                if x.dtype == bool:
+                    x = unpack(x).astype(self.dtype, copy=False)
             if tape is not None:
                 tape.append(entry)
         return x
@@ -684,17 +719,22 @@ class TrainedDcae:
     curve: list  # (epoch, train_mse, val_mse)
 
 
-def _to_unit(images, size):
-    """(N, size, size, 3) uint8 or [0,1] float images as float32 in [0, 1].
+def _check_shape(shape, size):
+    if len(shape) != 4 or shape[1:] != (size, size, 3):
+        raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {shape}")
+
+
+def _check_images(images, size):
+    """(N, size, size, 3) uint8 images as they are, or [0,1] float images as
+    float32; ``_unit`` converts them a batch at a time.
 
     Non-uint8 values outside [0, 1] are rejected; NaN passes, so training
     reports it as divergence.
     """
     images = np.asarray(images)
-    if images.ndim != 4 or images.shape[1:] != (size, size, 3):
-        raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {images.shape}")
+    _check_shape(images.shape, size)
     if images.dtype == np.uint8:
-        return images.astype(np.float32) / PIXEL_MAX
+        return images
     if np.any(images < 0) | np.any(images > 1):
         raise ValueError(
             f"non-uint8 images must lie in [0, 1], got values in "
@@ -703,16 +743,23 @@ def _to_unit(images, size):
     return np.ascontiguousarray(images, np.float32)
 
 
+def _unit(batch):
+    """A batch of ``_check_images``' output as float32 in [0, 1]."""
+    return batch.astype(np.float32) / PIXEL_MAX if batch.dtype == np.uint8 else batch
+
+
 def train_dcae(train_images, config: TrainConfig, val_images=None):
     """Train the autoencoder; returns TrainedDcae with the per-epoch curve.
 
-    train_images: (N, S, S, 3) uint8 or [0,1] float. Divergence (non-finite
-    loss) raises DivergenceError with the epoch index.
+    train_images: (N, S, S, 3) uint8 or [0,1] float. A uint8 set is kept as
+    given, and each train and eval batch is divided by ``PIXEL_MAX`` as it is
+    drawn. Divergence (non-finite loss) raises DivergenceError with the
+    epoch index.
     """
-    x = _to_unit(train_images, config.input_size)
+    x = _check_images(train_images, config.input_size)
     if x.shape[0] == 0:
         raise ValueError("training set must be non-empty")
-    xv = _to_unit(val_images, config.input_size) if val_images is not None else None
+    xv = _check_images(val_images, config.input_size) if val_images is not None else None
     rng = np.random.default_rng(config.seed)
     net = DcaeNet(config, rng)
     clip = tuple(n + "_w" for n in net.binarized)
@@ -725,7 +772,7 @@ def train_dcae(train_images, config: TrainConfig, val_images=None):
         total, seen = 0.0, 0
         for start in range(0, n, bs):
             idx = order[start : start + bs]
-            batch = x[idx]
+            batch = _unit(x[idx])
             recon, tape = net.forward_train(batch)
             loss = dcae_loss(batch, recon)
             if not np.isfinite(loss):
@@ -748,7 +795,7 @@ def train_dcae(train_images, config: TrainConfig, val_images=None):
 def _eval_mse(net, images, bs):
     total, seen = 0.0, 0
     for start in range(0, len(images), bs):
-        batch = images[start : start + bs]
+        batch = _unit(images[start : start + bs])
         total += dcae_loss(batch, net.reconstruct(batch)) * len(batch)
         seen += len(batch)
     return total / seen
@@ -756,8 +803,8 @@ def _eval_mse(net, images, bs):
 
 def extract_features(net: DcaeNet, images):
     """Eval-mode features of uint8 or [0,1] images: (N, feature_dim), in the net's dtype."""
-    x = _to_unit(images, net.cfg.input_size)
+    x = _check_images(images, net.cfg.input_size)
     out = np.empty((len(x), net.cfg.feature_dim), net.dtype)
     for start in range(0, len(x), EVAL_BATCH):
-        out[start : start + EVAL_BATCH] = net.encode(x[start : start + EVAL_BATCH])
+        out[start : start + EVAL_BATCH] = net.encode(_unit(x[start : start + EVAL_BATCH]))
     return out

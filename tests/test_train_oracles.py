@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bitmotor import training
-from bitmotor.core import as_float, sign_values, ste_backward
+from bitmotor.core import as_float, sign_values, ste_backward, unpack
 from bitmotor.kernels import im2col, weight_matrix
 from bitmotor.layers import logistic, maxpool, nn_index, pool_out_size
 from bitmotor.training import (
@@ -32,6 +32,7 @@ from bitmotor.training import (
     _pool_bwd,
     _pool_fwd,
     _resize_bwd,
+    _select,
     train_dcae,
 )
 
@@ -231,8 +232,9 @@ def signed_values(rng, shape, dtype):
     return x.astype(dtype)
 
 
-def conv_inputs(size, batch):
-    """(batch, side, channels) of the input of every conv in a preset's walk."""
+def conv_stages(size):
+    """(input side, in channels, out channels, pool) of every conv in a
+    preset's walk."""
     cfg = TrainConfig.for_size(size)
     stages, _n_bin = training._build_stage_specs(cfg)
     side = cfg.input_size
@@ -240,7 +242,7 @@ def conv_inputs(size, batch):
     for spec in stages:
         if spec.kind == "conv":
             side = spec.resize_to or side
-            shapes.append((batch, side, spec.in_dim))
+            shapes.append((side, spec.in_dim, spec.out_dim, spec.pool))
             side = pool_out_size(side) if spec.pool else side
     return shapes
 
@@ -304,32 +306,22 @@ class TestConvBackward:
         assert_bits_equal(_conv_weight_grad(dout, cols), dw_old)
         dx = _conv_input_grad(dout, w)
         assert dx.flags.c_contiguous
-        if dtype is np.float32:
-            assert_bits_equal(dx, dx_old)
-        else:
-            # the columns come from w @ dout.T, not dout @ w.T, and dgemm may
-            # round some shapes differently in that orientation; the float32
-            # case above pins the order of the nine adds
-            assert dx.dtype == dx_old.dtype and dx.shape == dx_old.shape
-            np.testing.assert_allclose(dx, dx_old, rtol=0, atol=1e-13 * np.abs(dx_old).max())
+        assert_bits_equal(dx, dx_old)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("o", [3, 16])
-    @pytest.mark.parametrize("n, size, c", conv_inputs("desk", 16) + [(1, 142, 32)])
+    @pytest.mark.parametrize("n, size, c", [(n, size, c) for n in (1, 3, 16)
+                                            for size, c, _o, _pool in conv_stages("desk")]
+                             + [(1, 142, 32)])
     def test_both_col2im_paths_on_stage_shapes(self, n, size, c, o, dtype):
-        # O = 3 takes the by-tap path, O = 16 the one-shot block; the shapes
-        # are every desk conv's input at batch 16 and paper dec_out's at 1
-        rng = np.random.default_rng([size, c, o])
+        # the input of every desk conv at three batches and paper dec_out's
+        # at batch 1, under dec_out's three output channels and sixteen
+        rng = np.random.default_rng([n, size, c, o])
         w = rng.standard_normal((o, c, 3, 3)).astype(dtype)
         dout = signed_values(rng, (n, size, size, o), dtype)
         cols = np.zeros((n, size, size, 9 * c), dtype)  # the weight gradient is not under test
         dx_old = np.ascontiguousarray(oracle_conv_bwd(dout, cols, w)[0])
-        dx = _conv_input_grad(dout, w)
-        if dtype is np.float32:
-            assert_bits_equal(dx, dx_old)
-        else:  # dgemm's rounding, as in test_matches_nine_add_col2im
-            assert dx.dtype == dx_old.dtype and dx.shape == dx_old.shape
-            np.testing.assert_allclose(dx, dx_old, rtol=0, atol=1e-13 * np.abs(dx_old).max())
+        assert_bits_equal(_conv_input_grad(dout, w), dx_old)
 
 
 class TestPoolForward:
@@ -392,6 +384,24 @@ class TestPoolForward:
         got = _pool_bwd(dout, cache)
         assert got[0, 2, 2, 0] == want
         assert_bits_equal(got, oracle_pool_bwd(dout, cache))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("size, c", [(size, o) for size, _c, o, pool in conv_stages("desk") if pool])
+    def test_sign_bits_pool_as_their_values(self, size, c, dtype):
+        # a binarized stage pools its bool map; the maxima and window
+        # indices are the argmax oracle's on the +-1 map, on every desk
+        # encoder stage's output at batch 16
+        bits = np.random.default_rng([size, c]).random((16, size, size, c)) < 0.5
+        values = unpack(bits).astype(dtype)
+        out, (idx, h, wd) = _pool_fwd(bits)
+        out_old, (idx_old, _h, _wd) = oracle_pool_fwd(values)
+        assert out.dtype == bool and idx.dtype == np.uint8
+        assert_bits_equal(unpack(out).astype(dtype), out_old)
+        assert np.array_equal(idx, idx_old)
+        assert (h, wd) == (size, size)
+        ev = maxpool(bits)
+        assert ev.dtype == bool
+        assert_bits_equal(unpack(ev).astype(dtype), out_old)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("values", ["pm1", "signed"])
@@ -465,6 +475,22 @@ class TestSignValues:
             x[0, :3] = np.nan, np.inf, -np.inf
         x = x.astype(dtype)
         assert_bits_equal(sign_values(x), oracle_sign_values(x))
+
+
+class TestSelect:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_where(self, dtype):
+        # the straight-through select keeps every bit of a kept gradient,
+        # signed zeros, NaN and infinities included, and drops to +0.0
+        rng = np.random.default_rng(9)
+        g = signed_values(rng, (4, 6, 5, 8), dtype)
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+        g.reshape(-1)[:12] = special * 2
+        mask = rng.random(g.shape) < 0.5
+        mask.reshape(-1)[:12] = [True] * 6 + [False] * 6
+        got = _select(mask, g)
+        assert_bits_equal(got, np.where(mask, g, 0.0))
+        assert_bits_equal(got, ste_backward(np.where(mask, 0.5, 2.0), g))
 
 
 class TestLogistic:

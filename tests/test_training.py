@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,19 @@ class TestTrainDcae:
             assert np.array_equal(a.net.params[k], b.net.params[k]), k
         assert a.curve == b.curve
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_uint8_images_train_as_their_floats(self, mode):
+        # a uint8 set is kept as given and converted a batch at a time, to
+        # the values of the whole set divided by 255 up front
+        imgs, val = micro_images(12), micro_images(5, seed=1)
+        cfg = micro_cfg(mode, epochs=2, batch_size=5)
+        a = train_dcae(imgs, cfg, val)
+        b = train_dcae(imgs.astype(np.float32) / 255, cfg, val.astype(np.float32) / 255)
+        assert a.curve == b.curve
+        for k in a.net.params:
+            assert np.array_equal(a.net.params[k], b.net.params[k]), k
+        assert np.array_equal(extract_features(a.net, val), extract_features(b.net, val.astype(np.float32) / 255))
+
     @pytest.mark.parametrize("shape", [(4, 16, 15, 3), (4, 16, 16, 4), (16, 16, 3), "float255", "inf"])
     @pytest.mark.parametrize("path", ["train", "val", "extract"])
     def test_malformed_images_rejected(self, path, shape):
@@ -400,6 +414,16 @@ class TestInputDomain:
         for method in ("encode", "reconstruct"):
             out_x, out_q = (getattr(net, method)(img) for net, img in zip(nets, (x, q)))
             assert np.array_equal(out_x, out_q), method
+
+
+class TestBatchShape:
+    @pytest.mark.parametrize("shape", [(2, 32, 32, 3), (64, 64, 3), (2, 64, 64, 1)])
+    @pytest.mark.parametrize("entry", ["forward_train", "encode", "reconstruct"])
+    def test_wrong_shape_names_the_expected_one(self, entry, shape):
+        net = DcaeNet(TrainConfig.for_size("desk"))
+        match = re.escape(f"expected images of shape (N, 64, 64, 3), got {shape}")
+        with pytest.raises(ValueError, match=match):
+            getattr(net, entry)(np.zeros(shape, np.float32))
 
 
 class TestDeployParity:
