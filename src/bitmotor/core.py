@@ -1,5 +1,5 @@
 """Bit-level primitives: sign binarization, straight-through gradients,
-bool weights as +-1 floats, packed channel words, and popcount.
+bool weights as +-1 floats, and packed channel words.
 
 Encoding convention used everywhere in this package:
 
@@ -26,15 +26,9 @@ __all__ = [
     "sign_values",
     "ste_backward",
     "unpack",
-    "popcount",
 ]
 
 _WORD_BITS = 64
-
-
-def popcount(words):
-    """Per-element population count of a uint64 array."""
-    return np.bitwise_count(words)
 
 
 def nwords(n):

@@ -78,10 +78,13 @@ Thresholds are clipped to one past the reachable range of ``pre`` before
 they are cast to float32, which keeps them exact without changing any
 comparison.
 
-The 3x3 stride-2 pool's geometry is ``pool_out_size`` and ``pool_windows``.
-``pool_or`` ORs bool maps separably and ``layers.maxpool`` runs over
-``pool_windows``; the trainer's ``_pool_fwd``, which also keeps each max's
-tap, takes its own separable strided slices of the same windows.
+The 3x3 stride-2 pool's geometry is ``pool_out_size``. Each of the three
+pools is separable and takes its own strided slices of the same windows:
+``pool_or`` ORs bool maps along H, then along W, which reads whole rows in
+its first pass; ``layers.maxpool`` (eval and the float reference) takes the
+dx taps of each row, then the dy taps, so it keeps the first max in (dy, dx)
+order; and the trainer's ``_pool_fwd`` does the same and also keeps each
+max's tap.
 
 ``im2col`` lays out the 3x3 windows of a channels-last map as columns
 ordered (dy, dx, c), and ``weight_matrix`` lays out (O, C, 3, 3) weights as
@@ -109,8 +112,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import pack_channel_words, popcount, unpack
+from .core import pack_channel_words, unpack
 from .core import unpack_channel_words  # noqa: F401  (decodes feature words for callers)
+
+PIXEL_MAX = 255  # the largest 8-bit pixel value, which conv1 reads
 
 # ---------------------------------------------------------------------------
 # layout conversions
@@ -166,7 +171,7 @@ def _fold_conv(wsigns, tau, flip, bits):
 
     Bool weights and +-1 values give the same kernel (``_plus``). ``bits``
     says the input is 0/1 bits standing for +-1 values; otherwise it is
-    pixels in [0, 255]. Flipped channels get negated weights and
+    pixels in [0, PIXEL_MAX]. Flipped channels get negated weights and
     ``1 - tau``; bit inputs move ``tau`` into the bit domain.
     """
     flip = np.asarray(flip, np.bool_)
@@ -179,7 +184,7 @@ def _fold_conv(wsigns, tau, flip, bits):
     if bits:
         tau = (tau + ww.sum(axis=0, dtype=np.int64) + 1) // 2
     else:
-        bound *= 255
+        bound *= PIXEL_MAX
     t = np.clip(tau, -(bound + 1), bound + 1).astype(np.float32)
     return ww, t
 
@@ -301,13 +306,6 @@ def pool_out_size(n):
     return (n - 3) // 2 + 1
 
 
-def pool_windows(x):
-    """The nine strided tap views of a 3x3 stride-2 pool over the (H, W) axes
-    of an (..., H, W, C) map, in (dy, dx) order."""
-    ho, wo = pool_out_size(x.shape[-3]), pool_out_size(x.shape[-2])
-    return [x[..., dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
-
-
 def pool_or(x):
     """3x3 stride-2 max pool over a +-1 bool map = OR of the window."""
     ho, wo = pool_out_size(x.shape[0]), pool_out_size(x.shape[1])
@@ -344,5 +342,5 @@ class BinFcKernel:
             raise ValueError(
                 f"expected {self.wv.shape[1]} words for {self.in_features} inputs, got {xv.shape}"
             )
-        mismatches = popcount(self.wv ^ xv).sum(axis=1, dtype=np.int64)
+        mismatches = np.bitwise_count(self.wv ^ xv).sum(axis=1, dtype=np.int64)
         return pack_channel_words(mismatches <= self.max_mismatch)

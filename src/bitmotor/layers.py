@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .core import as_float, sign_values, unpack
-from .kernels import pool_out_size
+from .kernels import PIXEL_MAX, pool_out_size
 
 PAPER_INPUT_SIZE = 142
 PAPER_CHANNELS = (32, 64, 128, 256)
@@ -111,16 +111,20 @@ def maxpool(x):
     """3x3 stride-2 max pool (the only Table-consistent geometry).
 
     Channels-last float or bool maps, optionally batched; the dtype is
-    kept, and on bools the max is an OR. The taps are taken in
-    ``training._pool_fwd``'s order and ``np.maximum``
-    returns its second argument on a tie, so the earlier value stays, -0.0
-    included, and the result is ``_pool_fwd``'s max without the indices.
+    kept, and on bools the max is an OR. Separable: the max of each row's
+    dx taps, then the max of those rows' dy taps. Each max is
+    ``np.maximum(later, earlier)``, which returns its second argument on a
+    tie, so both passes keep their first max and each output is the first
+    max of its window in (dy, dx) order, -0.0 included: ``_pool_fwd``'s max
+    without the indices. A window holding NaN pools to NaN.
     """
-    views = kernels.pool_windows(x)
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(view, out, out=out)
-    return out
+    ho, wo = pool_out_size(x.shape[-3]), pool_out_size(x.shape[-2])
+    taps = [x[..., : 2 * ho + 1, dx : dx + 2 * wo - 1 : 2, :] for dx in range(3)]
+    rows = np.maximum(taps[1], taps[0])
+    np.maximum(taps[2], rows, out=rows)
+    taps = [rows[..., dy : dy + 2 * ho - 1 : 2, :, :] for dy in range(3)]
+    out = np.maximum(taps[1], taps[0])
+    return np.maximum(taps[2], out, out=out)
 
 
 def bn_scale(p: BNParams):
@@ -251,11 +255,8 @@ class PackedEncoder:
         self.feature_dim = enc.layers[-1].weights.shape[0]
 
     def feature_words(self, pixels):
-        pixels = _check_pixels(pixels, self.input_size, self.in_channels)
-        x = self.conv1(pixels)
-        if self.conv1_pool:
-            x = kernels.pool_or(x)
-        for kind, k, pool in self.stages:
+        x = _check_pixels(pixels, self.input_size, self.in_channels)
+        for kind, k, pool in (("conv", self.conv1, self.conv1_pool), *self.stages):
             if kind == "fc" and x.ndim == 3:
                 x = kernels.flat_words(x, x.shape[2])
             x = k(x)
@@ -273,8 +274,8 @@ def _check_pixels(pixels, size, channels):
     if pixels.shape != (size, size, channels):
         raise ValueError(f"expected {size}x{size}x{channels} image, got {pixels.shape}")
     if pixels.dtype != np.uint8:
-        if np.any(pixels < 0) or np.any(pixels > 255) or np.any(pixels != np.rint(pixels)):
-            raise ValueError("pixel input must be 8-bit integers in [0, 255]")
+        if np.any(pixels < 0) or np.any(pixels > PIXEL_MAX) or np.any(pixels != np.rint(pixels)):
+            raise ValueError(f"pixel input must be 8-bit integers in [0, {PIXEL_MAX}]")
         pixels = pixels.astype(np.uint8)
     return pixels
 
@@ -355,7 +356,7 @@ def random_encoder_params(rng, input_size=PAPER_INPUT_SIZE, channels=PAPER_CHANN
         shape = (c_out, c_in, 3, 3) if kind == "conv" else (c_out, c_in)
         w = _random_bits(rng, shape)
         window = c_in * 9 if kind == "conv" else c_in
-        scale = 255.0 * window if name == "conv1" else float(window)
+        scale = float(PIXEL_MAX * window if name == "conv1" else window)
         bn = BNParams(
             gamma=rng.uniform(0.2, 2.0, c_out) * rng.choice([-1.0, 1.0], c_out),
             beta=rng.normal(0.0, 1.0, c_out),

@@ -56,7 +56,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import sign_values, unpack
-from .kernels import im2col, pool_out_size, weight_matrix
+from .kernels import PIXEL_MAX, im2col, pool_out_size, weight_matrix
 from .layers import (
     DESK_CHANNELS,
     DESK_FC1_OUT,
@@ -83,7 +83,6 @@ ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba def
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 32  # images per encode call in extract_features
-PIXEL_MAX = 255  # the net reads [0, 1] images as the 8-bit pixels rint(PIXEL_MAX * x)
 _ADAM_BLOCK = 1 << 15  # elements per pass of Adam.step, so its temporaries stay in cache
 
 SIZE_PRESETS = {
@@ -500,9 +499,9 @@ class DcaeNet:
         With a tape, BN normalizes by batch statistics (folded into the
         running ones if update_running) and each stage appends what
         ``backward`` needs, as the module docstring lists: a conv saves the
-        map its columns are built from, except the last stage of ``specs``,
-        which saves the columns. Without a tape, BN uses the running
-        statistics and pools find no window indices.
+        map its columns are built from, and the output stage keeps its
+        columns. Without a tape, BN uses the running statistics and pools
+        find no window indices.
         """
         for spec in specs:
             entry = {"spec": spec, "in_shape": x.shape}
@@ -519,7 +518,7 @@ class DcaeNet:
                     x = nn_resize(x, spec.resize_to)
                 bias = self.params.get(spec.name + "_b")
                 pre, cols = _conv_fwd(x, w, bias, spec.pad_value)
-                if spec is specs[-1]:
+                if spec is self.out_spec:
                     entry["cols"] = cols
                 else:
                     entry["x_in"] = x

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bitmotor.core import (
     nwords,
     pack_channel_words,
-    popcount,
     sign_values,
     ste_backward,
     unpack,
@@ -44,7 +43,7 @@ def xnor_popcount_dot(a, b, n):
     tail = n & 63
     if tail:
         x[-1] &= np.uint64((1 << tail) - 1)
-    matches = int(popcount(x).sum())
+    matches = int(np.bitwise_count(x).sum())
     return 2 * matches - n
 
 

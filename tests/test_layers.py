@@ -21,7 +21,8 @@ from bitmotor.layers import (
     pool_out_size,
     random_encoder_params,
 )
-from bitmotor.training import _pool_fwd
+from bitmotor.kernels import PIXEL_MAX
+from bitmotor.training import DcaeNet, TrainConfig, _pool_fwd
 
 
 def signs(fired):
@@ -504,6 +505,36 @@ class TestKernelsFromBits:
         a = kernels.BinFcKernel(ws, tau, flip)
         b = kernels.BinFcKernel(bits, tau, flip)
         assert np.array_equal(a.wv, b.wv) and np.array_equal(a.max_mismatch, b.max_mismatch)
+
+
+class TestPixelMax:
+    """``kernels.PIXEL_MAX`` is the one bound of the 8-bit pixel range: the
+    pixel check, conv1's threshold clip and the net's quantizer read it."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_check_pixels_accepts_the_max_and_rejects_one_more(self, dtype):
+        frame = np.zeros((5, 5, 3), dtype)
+        frame[2, 3, 1] = PIXEL_MAX
+        got = layers._check_pixels(frame, 5, 3)
+        assert got.dtype == np.uint8 and got[2, 3, 1] == PIXEL_MAX
+        frame[2, 3, 1] = PIXEL_MAX + 1
+        with pytest.raises(ValueError, match=rf"\[0, {PIXEL_MAX}\]"):
+            layers._check_pixels(frame, 5, 3)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_conv1_clips_thresholds_one_past_the_pixel_range(self, c):
+        ws = np.ones((4, c, 3, 3), np.bool_)
+        big = np.iinfo(np.int32)
+        k = kernels.Conv1Kernel(ws, np.array([big.max, big.min, 0, 1], np.int32), np.zeros(4, bool))
+        bound = 9 * c * PIXEL_MAX + 1
+        assert k.t[:, 0].tolist() == [bound, -bound, 0, 1]
+
+    def test_net_reads_one_as_the_max_pixel(self):
+        net = DcaeNet(TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64))
+        x01 = np.zeros((1, 16, 16, 3), np.float32)
+        x01[0, 4, 5] = 1.0
+        px = net._pixels(x01)
+        assert px[0, 4, 5].tolist() == [PIXEL_MAX] * 3 and px.sum() == 3 * PIXEL_MAX
 
 
 class TestChannelPlanarMaps:

@@ -123,6 +123,18 @@ def oracle_pool_fwd(x):
     return out, (idx, h, wd)
 
 
+def oracle_maxpool(x):
+    # the nine strided tap views of each window, maxed in (dy, dx) order;
+    # np.maximum returns its second argument on a tie, so the earlier value
+    # stays
+    ho, wo = pool_out_size(x.shape[-3]), pool_out_size(x.shape[-2])
+    views = [x[..., dy : dy + 2 * ho - 1 : 2, dx : dx + 2 * wo - 1 : 2, :] for dy in range(3) for dx in range(3)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
+    return out
+
+
 def oracle_pool_bwd(dout, cache):
     idx, h, wd = cache
     n, ho, wo, c = dout.shape
@@ -417,6 +429,39 @@ class TestPoolForward:
             out = maxpool(x)
             assert out.dtype == dtype
             assert_bits_equal(out, _pool_fwd(x)[0])
+
+
+def encoder_pool_maps():
+    """(side, channels) of the map each pooled encoder conv of the two
+    presets hands its pool."""
+    return [(size, o) for preset in ("desk", "paper") for size, _c, o, pool in conv_stages(preset) if pool]
+
+
+class TestEvalPool:
+    """``layers.maxpool``, two separable passes, against the nine-view loop
+    it replaced."""
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("dtype", DTYPES + [bool])
+    @pytest.mark.parametrize("size, c", encoder_pool_maps())
+    def test_matches_nine_view_loop(self, size, c, dtype, batch):
+        # floats: mostly +-0.0, so ties between signed zeros are common, and
+        # a few NaN, so some windows hold one
+        rng = np.random.default_rng([size, c, batch or 1])
+        shape = (size, size, c) if batch is None else (batch, size, size, c)
+        if dtype is bool:
+            x = rng.random(shape) < 0.5
+        else:
+            x = signed_values(rng, shape, dtype)
+            pick = rng.random(shape)
+            x[pick < 0.4] = 0.0
+            x[(pick >= 0.4) & (pick < 0.7)] = -0.0
+            x[pick >= 0.995] = np.nan
+        out = maxpool(x)
+        want = oracle_maxpool(x)
+        assert_bits_equal(out, want)
+        if dtype is not bool:
+            assert np.isnan(want).any() and (np.signbit(want) & (want == 0)).any()
 
 
 class TestResizeBackward:
