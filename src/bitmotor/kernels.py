@@ -56,7 +56,7 @@ smallest power of two above ``2K + 1``, so ``|lo| <= K < base / 2``:
 
 Every term of such a column is 0 or +-1 +- base, so every partial sum BLAS
 can form is at most ``K * (1 + base)`` in magnitude. A layer pairs only
-where that is below 2**24, which holds for K <= 2047 (C <= 227), and where
+where that is below 2**24 (``FOLD_VMAX``), which holds for K <= 2047 (C <= 227), and where
 ``K * O >= 2**14``. The second rule is measured (CHANGES.md has the
 timings): the decode compares column slices of ``pre``, which numpy runs row
 by row, and adds six numpy calls, which only a large sgemm repays. The rule
@@ -116,6 +116,7 @@ from .core import pack_channel_words, unpack
 from .core import unpack_channel_words  # noqa: F401  (decodes feature words for callers)
 
 PIXEL_MAX = 255  # the largest 8-bit pixel value, which conv1 reads
+FOLD_VMAX = 1 << 24  # integer pre-activations are exact in float32 below this
 
 # ---------------------------------------------------------------------------
 # layout conversions
@@ -200,7 +201,7 @@ def _pair_channels(ww):
     """
     k, o = ww.shape
     base = 1 << (2 * k + 1).bit_length()
-    if k * (1 + base) >= 2**24 or k * o < 2**14:
+    if k * (1 + base) >= FOLD_VMAX or k * o < 2**14:
         return ww, 0
     pairs = o // 2
     lo = o - pairs
@@ -245,10 +246,9 @@ class Conv1Kernel:
     """Folded weight rows and thresholds for the first conv, which reads pixels."""
 
     def __init__(self, wsigns, tau, flip):
-        o_ch, cin, kh, kw = wsigns.shape
+        _o, cin, kh, kw = wsigns.shape
         if (kh, kw) != (3, 3):
             raise ValueError("conv1 kernels are 3x3")
-        self.out_channels = o_ch
         self.in_channels = cin
         ww, t = _fold_conv(wsigns, tau, flip, bits=False)
         self.wt = np.ascontiguousarray(ww.T)

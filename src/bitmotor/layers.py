@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .core import as_float, sign_values, unpack
-from .kernels import PIXEL_MAX, pool_out_size
+from .kernels import FOLD_VMAX, PIXEL_MAX, pool_out_size
 
 PAPER_INPUT_SIZE = 142
 PAPER_CHANNELS = (32, 64, 128, 256)
@@ -27,8 +27,7 @@ DESK_INPUT_SIZE = 64
 DESK_CHANNELS = (8, 16, 32, 64)
 DESK_FC1_OUT = 256
 FEATURE_DIM = 64
-
-FOLD_VMAX = 1 << 24  # integer pre-activations are exact in float32 below this
+BN_EPS = 1e-5  # the variance guard of every BN, trained and folded
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ class BNParams:
     beta: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
-    eps: float = 1e-5
+    eps: float = BN_EPS
 
     def __post_init__(self):
         for name in ("gamma", "beta", "mu", "sigma2"):
@@ -236,27 +235,24 @@ class PackedEncoder:
 
     def __init__(self, enc: EncoderParams):
         self.input_size = enc.input_size
-        first = enc.layers[0]
-        self.in_channels = first.weights.shape[1]
-        # perfbench's traced replay calls conv1_forward with these
-        self.conv1_signs = unpack(first.weights)
-        t1 = fold_bn_sign(first.bn)
-        self.conv1_tau, self.conv1_flip = t1.tau, t1.flip
-        self.conv1_pool = first.pool
-        self.conv1 = kernels.Conv1Kernel(first.weights, self.conv1_tau, self.conv1_flip)
-        self.stages = []
-        for lay in enc.layers[1:]:
+        self.in_channels = enc.layers[0].weights.shape[1]
+        self.walk = []  # (kind, kernel, pool) per layer, conv1 first
+        for i, lay in enumerate(enc.layers):
             t = fold_bn_sign(lay.bn)
-            if lay.kind == "conv":
-                k = kernels.BinConvKernel(lay.weights, t.tau, t.flip)
+            if i == 0:
+                # perfbench's traced replay calls conv1_forward with these
+                self.conv1_signs = unpack(lay.weights)
+                self.conv1_tau, self.conv1_flip, self.conv1_pool = t.tau, t.flip, lay.pool
+                kernel = kernels.Conv1Kernel
             else:
-                k = kernels.BinFcKernel(lay.weights, t.tau, t.flip)
-            self.stages.append((lay.kind, k, lay.pool))
+                kernel = kernels.BinConvKernel if lay.kind == "conv" else kernels.BinFcKernel
+            self.walk.append((lay.kind, kernel(lay.weights, t.tau, t.flip), lay.pool))
+        self.stages = self.walk[1:]
         self.feature_dim = enc.layers[-1].weights.shape[0]
 
     def feature_words(self, pixels):
         x = _check_pixels(pixels, self.input_size, self.in_channels)
-        for kind, k, pool in (("conv", self.conv1, self.conv1_pool), *self.stages):
+        for kind, k, pool in self.walk:
             if kind == "fc" and x.ndim == 3:
                 x = kernels.flat_words(x, x.shape[2])
             x = k(x)
@@ -266,13 +262,16 @@ class PackedEncoder:
 
     def features(self, pixels):
         words = self.feature_words(pixels)
-        return unpack(kernels.unpack_channel_words(words[None, :], self.feature_dim)[0])
+        return unpack(kernels.unpack_channel_words(words, self.feature_dim))
 
 
 def _check_pixels(pixels, size, channels):
     pixels = np.asarray(pixels)
     if pixels.shape != (size, size, channels):
         raise ValueError(f"expected {size}x{size}x{channels} image, got {pixels.shape}")
+    # a bool frame would read as the pixels 0 and 1, a complex one as its real part
+    if pixels.dtype.kind not in "uif":
+        raise ValueError(f"pixel input must have an integer or real floating dtype, got {pixels.dtype}")
     if pixels.dtype != np.uint8:
         if np.any(pixels < 0) or np.any(pixels > PIXEL_MAX) or np.any(pixels != np.rint(pixels)):
             raise ValueError(f"pixel input must be 8-bit integers in [0, {PIXEL_MAX}]")

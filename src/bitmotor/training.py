@@ -49,15 +49,16 @@ exact, so eval-mode features equal the packed encoder's to the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt, prod
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .core import sign_values, unpack
 from .kernels import PIXEL_MAX, im2col, pool_out_size, weight_matrix
 from .layers import (
+    BN_EPS,
     DESK_CHANNELS,
     DESK_FC1_OUT,
     DESK_INPUT_SIZE,
@@ -77,7 +78,6 @@ from .layers import (
 )
 
 MODES = ("full", "partial", "binary")  # mode k binarizes the first k * len(encoder) stages
-BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running-statistics decay per training batch
 ADAM_BETA1 = 0.9   # Adam's moment decays and denominator guard (Kingma & Ba defaults)
 ADAM_BETA2 = 0.999
@@ -114,18 +114,20 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.channels = tuple(int(c) for c in self.channels)
-        for name, low in (("input_size", 1), ("batch_size", 1), ("epochs", 0), ("fc1_out", 1),
-                          ("feature_dim", 1), ("seed", 0)):
-            value = getattr(self, name)
+        self.channels = tuple(self.channels)
+        checks = [(name, getattr(self, name), low) for name, low in (
+            ("input_size", 1), ("batch_size", 1), ("epochs", 0), ("fc1_out", 1), ("feature_dim", 1),
+            ("seed", 0))]
+        checks.append(("len(channels)", len(self.channels), 1))
+        checks += [(f"channels[{i}]", c, 1) for i, c in enumerate(self.channels)]
+        for name, value, low in checks:
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not self.channels or min(self.channels) < 1:
-            raise ValueError(f"channels must be one or more widths >= 1, got {self.channels}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if not isinstance(lr, Real) or isinstance(lr, bool) or not 0 < lr < np.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         try:
             encoder_geometry(self.input_size, self.channels, self.fc1_out, self.feature_dim)
         except ValueError as e:
@@ -137,9 +139,8 @@ class TrainConfig:
     def for_size(size, **overrides):
         if size not in SIZE_PRESETS:
             raise ValueError(f"unknown size preset {size!r}")
-        input_size, channels, fc1_out = SIZE_PRESETS[size]
-        cfg = TrainConfig(input_size=input_size, channels=channels, fc1_out=fc1_out)
-        return replace(cfg, **overrides)
+        preset = dict(zip(("input_size", "channels", "fc1_out"), SIZE_PRESETS[size]))
+        return TrainConfig(**{**preset, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +364,11 @@ def _fold_copies(d, n, axis):
     runs = np.diff(starts, append=d.shape[axis])
     bcast = (-1,) + (1,) * (d.ndim - axis - 1)
     out = np.take(d, starts, axis=axis)
-    if runs.max() > 1:
-        tail = np.take(d, starts + 1, axis=axis, mode="clip")
-        for k in range(2, runs.max()):
-            more = np.take(d, starts + k, axis=axis, mode="clip")
-            np.add(tail, more, out=tail, where=(runs > k).reshape(bcast))
-        np.add(out, tail, out=out, where=(runs > 1).reshape(bcast))
+    tail = np.take(d, starts + 1, axis=axis, mode="clip")
+    for k in range(2, runs.max()):
+        more = np.take(d, starts + k, axis=axis, mode="clip")
+        np.add(tail, more, out=tail, where=(runs > k).reshape(bcast))
+    np.add(out, tail, out=out, where=(runs > 1).reshape(bcast))
     return out
 
 
@@ -473,8 +473,10 @@ class DcaeNet:
 
     def _pixels(self, x01):
         """[0, 1] images (N, S, S, 3) as the pixel values rint(255 * x) in the
-        net's dtype; a batch of another shape raises ``ValueError``."""
-        _check_shape(np.shape(x01), self.cfg.input_size)
+        net's dtype. A batch of another shape or of a dtype that is not
+        floating raises ``ValueError``: an 8-bit batch would read 255x too
+        bright."""
+        x01 = _check_batch(x01, self.cfg.input_size, uint8=False)
         x = np.multiply(x01, PIXEL_MAX, dtype=self.dtype)
         return np.rint(x, out=x)
 
@@ -493,15 +495,14 @@ class DcaeNet:
 
     # -- the stage walk -------------------------------------------------------
 
-    def _forward(self, x, specs, tape=None, update_running=False):
+    def _forward(self, x, specs, tape=None):
         """Run batch ``x`` through ``specs`` in order; returns the last output.
 
-        With a tape, BN normalizes by batch statistics (folded into the
-        running ones if update_running) and each stage appends what
-        ``backward`` needs, as the module docstring lists: a conv saves the
-        map its columns are built from, and the output stage keeps its
-        columns. Without a tape, BN uses the running statistics and pools
-        find no window indices.
+        With a tape, BN normalizes by batch statistics, which it folds into
+        the running ones, and each stage appends what ``backward`` needs, as
+        the module docstring lists: a conv saves the map its columns are
+        built from, and the output stage keeps its columns. Without a tape,
+        BN uses the running statistics and pools find no window indices.
         """
         for spec in specs:
             entry = {"spec": spec, "in_shape": x.shape}
@@ -531,12 +532,11 @@ class DcaeNet:
                 else:
                     gamma, beta = self.params[spec.name + "_gamma"], self.params[spec.name + "_beta"]
                     z, entry["bn"], stats = _bn_fwd(pre, gamma, beta)
-                    if update_running:
-                        for key, stat in zip(("_mu", "_var"), stats):
-                            r = self.running[spec.name + key]
-                            self.running[spec.name + key] = (
-                                BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat
-                            ).astype(self.dtype)
+                    for key, stat in zip(("_mu", "_var"), stats):
+                        r = self.running[spec.name + key]
+                        self.running[spec.name + key] = (
+                            BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat
+                        ).astype(self.dtype)
                 x, entry["act"] = self._act_fwd(spec.name, z)
                 if spec.pool and tape is None:
                     x = maxpool(x)
@@ -548,13 +548,14 @@ class DcaeNet:
                 tape.append(entry)
         return x
 
-    def forward_train(self, x01, update_running=True):
+    def forward_train(self, x01):
         """x01: (N, S, S, 3) float in [0, 1], read as the pixels rint(255 * x).
 
-        Returns (recon, tape); recon lies in [0, 1], as x01 does.
+        Returns (recon, tape); recon lies in [0, 1], as x01 does. The batch
+        statistics of every BN are folded into its running ones.
         """
         tape = []
-        recon = self._forward(self._pixels(x01), self.stages, tape, update_running)
+        recon = self._forward(self._pixels(x01), self.stages, tape)
         return recon, tape
 
     def backward(self, tape, drecon):
@@ -646,7 +647,7 @@ class DcaeNet:
         layers = [
             EncoderLayer(spec.name, spec.kind, p[spec.name + "_w"] >= 0,  # sign_values' rule: 0 is +1
                          BNParams(p[spec.name + "_gamma"], p[spec.name + "_beta"],
-                                  r[spec.name + "_mu"], r[spec.name + "_var"], eps=BN_EPS),
+                                  r[spec.name + "_mu"], r[spec.name + "_var"]),
                          spec.pool)
             for spec in self.enc_specs
         ]
@@ -718,20 +719,25 @@ class TrainedDcae:
     curve: list  # (epoch, train_mse, val_mse)
 
 
-def _check_shape(shape, size):
-    if len(shape) != 4 or shape[1:] != (size, size, 3):
-        raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {shape}")
+def _check_batch(images, size, uint8):
+    """``images`` as an array if it is (N, size, size, 3) floats, or uint8
+    where ``uint8`` allows it; otherwise ``ValueError``."""
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[1:] != (size, size, 3):
+        raise ValueError(f"expected images of shape (N, {size}, {size}, 3), got {images.shape}")
+    if images.dtype.kind != "f" and not (uint8 and images.dtype == np.uint8):
+        raise ValueError(f"images must be {'uint8 or ' if uint8 else ''}[0, 1] floats, got dtype {images.dtype}")
+    return images
 
 
 def _check_images(images, size):
     """(N, size, size, 3) uint8 images as they are, or [0,1] float images as
     float32; ``_unit`` converts them a batch at a time.
 
-    Non-uint8 values outside [0, 1] are rejected; NaN passes, so training
-    reports it as divergence.
+    Any other dtype, and float values outside [0, 1], are rejected; NaN
+    passes, so training reports it as divergence.
     """
-    images = np.asarray(images)
-    _check_shape(images.shape, size)
+    images = _check_batch(images, size, uint8=True)
     if images.dtype == np.uint8:
         return images
     if np.any(images < 0) | np.any(images > 1):
@@ -768,7 +774,7 @@ def train_dcae(train_images, config: TrainConfig, val_images=None):
     bs = min(config.batch_size, n)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        total, seen = 0.0, 0
+        total = 0.0
         for start in range(0, n, bs):
             idx = order[start : start + bs]
             batch = _unit(x[idx])
@@ -777,12 +783,11 @@ def train_dcae(train_images, config: TrainConfig, val_images=None):
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
             total += loss * len(idx)
-            seen += len(idx)
             diff = recon - batch
             drecon = (2.0 / diff.size) * diff
             grads = net.backward(tape, drecon.astype(np.float32))
             opt.step(net.params, grads)
-        train_mse = total / seen
+        train_mse = total / n
         if xv is not None and len(xv):
             val_mse = _eval_mse(net, xv, bs)
         else:
@@ -792,12 +797,11 @@ def train_dcae(train_images, config: TrainConfig, val_images=None):
 
 
 def _eval_mse(net, images, bs):
-    total, seen = 0.0, 0
+    total = 0.0
     for start in range(0, len(images), bs):
         batch = _unit(images[start : start + bs])
         total += dcae_loss(batch, net.reconstruct(batch)) * len(batch)
-        seen += len(batch)
-    return total / seen
+    return total / len(images)
 
 
 def extract_features(net: DcaeNet, images):

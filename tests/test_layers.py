@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -643,6 +645,18 @@ class TestEncoderForward:
         assert np.array_equal(fp, fr)
         assert np.array_equal(fp, pe.features(pixels[image % 3]))
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.complex64, object])
+    @pytest.mark.parametrize("entry", ["packed", "reference"])
+    def test_frame_dtype_not_integer_or_real_rejected(self, entry, dtype):
+        # a bool frame would read as the pixels 0/1, a complex one as its
+        # real part
+        rng = np.random.default_rng(16)
+        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        frame = rng.integers(0, 2, (33, 33, 3)).astype(dtype)
+        run = PackedEncoder(enc).features if entry == "packed" else lambda f: encoder_forward(f, enc)
+        with pytest.raises(ValueError, match=re.escape(f"got {np.dtype(dtype)}")):
+            run(frame)
+
     def test_wrong_input_shape(self):
         rng = np.random.default_rng(12)
         enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
@@ -684,6 +698,21 @@ class TestEncoderForward:
         assert spatial == [142, 70, 34, 16]
         assert stages[-2][3] == 12544 and stages[-2][4] == 1024
         assert stages[-1][3] == 1024 and stages[-1][4] == 64
+
+
+class TestPackedWalk:
+    def test_one_list_conv1_first(self):
+        rng = np.random.default_rng(17)
+        enc = random_encoder_params(rng, input_size=33, channels=(8, 16), fc1_out=32)
+        pe = PackedEncoder(enc)
+        assert [type(k) for _kind, k, _pool in pe.walk] == [
+            kernels.Conv1Kernel, kernels.BinConvKernel, kernels.BinFcKernel, kernels.BinFcKernel]
+        assert [(kind, pool) for kind, _k, pool in pe.walk] == [(lay.kind, lay.pool) for lay in enc.layers]
+        assert pe.stages == pe.walk[1:]
+        t = fold_bn_sign(enc.layers[0].bn)
+        assert np.array_equal(pe.conv1_tau, t.tau) and np.array_equal(pe.conv1_flip, t.flip)
+        assert np.array_equal(pe.conv1_signs, unpack(enc.layers[0].weights))
+        assert pe.conv1_pool == enc.layers[0].pool
 
 
 class TestNnResize:

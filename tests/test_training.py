@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bitmotor import kernels
+from bitmotor import kernels, training
 from bitmotor.core import sign_values
 from bitmotor.layers import (
     BNParams,
@@ -20,6 +20,7 @@ from bitmotor.layers import (
 )
 from bitmotor.training import (
     BN_EPS,
+    BN_MOMENTUM,
     MODES,
     Adam,
     DcaeNet,
@@ -102,12 +103,12 @@ class TestDcaeLoss:
 
 
 def _loss_fn(net, batch):
-    recon, _ = net.forward_train(batch, update_running=False)
+    recon, _ = net.forward_train(batch)
     return float(np.mean((recon - batch).astype(np.float64) ** 2))
 
 
 def _analytic_grads(net, batch):
-    recon, tape = net.forward_train(batch, update_running=False)
+    recon, tape = net.forward_train(batch)
     diff = recon - batch
     drecon = (2.0 / diff.size) * diff
     return net.backward(tape, drecon.astype(np.float32))
@@ -173,7 +174,7 @@ class TestGradients:
     def test_zero_loss_gradient_zeroes_everything(self):
         net = DcaeNet(micro_cfg("partial", batch_size=2))
         batch = micro_images(2, seed=6).astype(np.float32) / 255.0
-        _, tape = net.forward_train(batch, update_running=False)
+        _, tape = net.forward_train(batch)
         grads = net.backward(tape, np.zeros((2, 16, 16, 3), np.float32))
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -183,7 +184,7 @@ class TestGradients:
         # _bn_fwd evaluates it, has |z| < 1
         net = DcaeNet(micro_cfg("partial", batch_size=3))
         batch = micro_images(3, seed=7).astype(np.float32) / 255.0
-        _, tape = net.forward_train(batch, update_running=False)
+        _, tape = net.forward_train(batch)
         entry = next(e for e in tape if e["spec"].name == "enc_fc2")
         xhat, _inv, gamma = entry["bn"]
         z = xhat * gamma + net.params["enc_fc2_beta"]
@@ -197,7 +198,7 @@ class TestTapeLifetime:
     def test_backward_empties_the_tape(self):
         net = DcaeNet(micro_cfg("partial", batch_size=2))
         batch = micro_images(2, seed=8).astype(np.float32) / 255.0
-        recon, tape = net.forward_train(batch, update_running=False)
+        recon, tape = net.forward_train(batch)
         assert len(tape) == len(net.stages)
         net.backward(tape, np.ones_like(recon) / recon.size)
         assert tape == []
@@ -230,7 +231,7 @@ class TestTapeLifetime:
         # columns; a sign stage keeps its straight-through mask as bools
         net = DcaeNet(micro_cfg(mode, batch_size=2))
         batch = micro_images(2, seed=8).astype(np.float32) / 255.0
-        _, tape = net.forward_train(batch, update_running=False)
+        _, tape = net.forward_train(batch)
         assert [e["spec"] for e in tape if "cols" in e] == [net.stages[-1]]
         for entry in tape[:-1]:
             spec = entry["spec"]
@@ -426,6 +427,67 @@ class TestBatchShape:
             getattr(net, entry)(np.zeros(shape, np.float32))
 
 
+class TestBatchDtype:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+    @pytest.mark.parametrize("entry", ["forward_train", "encode", "reconstruct"])
+    def test_non_float_batch_names_its_dtype(self, entry, dtype):
+        # rint(255 * x) of an 8-bit batch would read pixels up to 65025
+        net = DcaeNet(micro_cfg("partial"))
+        with pytest.raises(ValueError, match=re.escape(f"got dtype {np.dtype(dtype)}")):
+            getattr(net, entry)(micro_images(2).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, object, np.int64])
+    @pytest.mark.parametrize("path", ["train", "val", "extract"])
+    def test_dataset_of_another_dtype_names_it(self, path, dtype):
+        # 0/1 values in [0, 1], so only the dtype can reject them
+        bad = (micro_images(4) > 127).astype(dtype)
+        cfg = micro_cfg("partial", epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match=re.escape(f"got dtype {np.dtype(dtype)}")):
+            if path == "train":
+                train_dcae(bad, cfg)
+            elif path == "val":
+                train_dcae(micro_images(4), cfg, val_images=bad)
+            else:
+                extract_features(DcaeNet(cfg), bad)
+
+
+class TestRunningStatistics:
+    def test_each_taped_forward_folds_its_batch_statistics(self, monkeypatch):
+        # r <- BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat, with stat the
+        # (mean, var) _bn_fwd computed for that stage's batch
+        stats = []
+        bn_fwd = training._bn_fwd
+
+        def spy(x, gamma, beta):
+            out = bn_fwd(x, gamma, beta)
+            stats.append(out[2])
+            return out
+
+        monkeypatch.setattr(training, "_bn_fwd", spy)
+        net = DcaeNet(micro_cfg("partial", batch_size=3))
+        bn_specs = [spec for spec in net.stages if spec is not net.out_spec]
+        for seed in (9, 10):
+            before = {k: v.copy() for k, v in net.running.items()}
+            stats.clear()
+            net.forward_train(micro_images(3, seed=seed).astype(np.float32) / 255.0)
+            assert len(stats) == len(bn_specs)
+            for spec, stage_stats in zip(bn_specs, stats):
+                for key, stat in zip(("_mu", "_var"), stage_stats):
+                    r = before[spec.name + key]
+                    want = (BN_MOMENTUM * r + (1 - BN_MOMENTUM) * stat).astype(net.dtype)
+                    got = net.running[spec.name + key]
+                    assert not np.array_equal(got, r), spec.name + key
+                    assert np.array_equal(got, want), spec.name + key
+
+    @pytest.mark.parametrize("entry", ["encode", "reconstruct"])
+    def test_eval_leaves_them_alone(self, entry):
+        net = DcaeNet(micro_cfg("partial"))
+        net.forward_train(micro_images(2).astype(np.float32) / 255.0)
+        before = {k: v.copy() for k, v in net.running.items()}
+        getattr(net, entry)(micro_images(2, seed=3).astype(np.float32) / 255.0)
+        assert all(np.array_equal(net.running[k], v) for k, v in before.items())
+
+
 class TestDeployParity:
     @pytest.mark.parametrize("mode", ["partial", "binary"])
     def test_packed_encoder_matches_extract_features(self, mode):
@@ -540,6 +602,10 @@ class TestConfig:
         # the micro encoder's two pools need an input_size of at least 7
         ("input_size", 4), ("input_size", 0), ("input_size", -3), ("seed", -1),
         ("batch_size", 2.5), ("epochs", 3.0), ("input_size", 16.0), ("input_size", True),
+        # each width follows the integer rule of the other fields, uncoerced
+        ("channels", (8.5, 16)), ("channels", ("8", 16)), ("channels", (True, 16)),
+        ("channels", (8, 16.0)), ("learning_rate", True), ("learning_rate", np.True_),
+        ("learning_rate", "0.001"),
     ], ids=str)
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

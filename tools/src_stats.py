@@ -9,10 +9,15 @@ counts that checkout. One row per module, then a total:
 - doc: lines of module, class and function docstrings;
 - settable: parameters with defaults plus dataclass fields, the values a
   caller can set.
+
+``--settable`` prints one ``module owner name`` line per settable value
+instead, the owner being the dotted name of its function or class, so two
+checkouts' settable values can be compared with ``diff``.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import tokenize
@@ -54,14 +59,29 @@ def _is_dataclass(cls):
 
 
 def settable_values(tree):
-    """Parameters with defaults plus dataclass fields."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-    return count
+    """(owner, name) of each parameter with a default and each dataclass field."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                positional = a.posonlyargs + a.args
+                found.extend((owner, p.arg) for p in positional[len(positional) - len(a.defaults):])
+                found.extend((owner, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                inner = owner + "."
+            elif isinstance(child, ast.ClassDef):
+                owner = prefix + child.name
+                if _is_dataclass(child):
+                    found.extend((owner, ast.unparse(stmt.target)) for stmt in child.body
+                                 if isinstance(stmt, ast.AnnAssign))
+                inner = owner + "."
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
 
 
 def module_stats(path):
@@ -70,10 +90,18 @@ def module_stats(path):
     tree = ast.parse(text)
     doc = docstring_lines(tree)
     code = token_lines(text) - doc
-    return len(text.splitlines()), len(code), len(doc), settable_values(tree)
+    return len(text.splitlines()), len(code), len(doc), len(settable_values(tree))
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--settable", action="store_true", help="list the settable values by name")
+    args = ap.parse_args(argv)
+    if args.settable:
+        for p in sorted(SRC.glob("*.py")):
+            for owner, name in settable_values(ast.parse(p.read_text())):
+                print(p.name, owner, name)
+        return
     rows = [(p.name, *module_stats(p)) for p in sorted(SRC.glob("*.py"))]
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
     print(f"{'module':<16}{'lines':>7}{'code':>7}{'doc':>7}{'settable':>10}")

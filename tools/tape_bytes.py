@@ -40,7 +40,7 @@ def tape_bytes(net, batch):
     parameter's; such an entry counts 0 bytes.
     """
     seen = {id(_owner(p)) for p in net.params.values()}
-    _, tape = net.forward_train(batch, update_running=False)
+    _, tape = net.forward_train(batch)
     rows = []
     for entry in tape:
         for key, value in entry.items():
