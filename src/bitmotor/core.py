@@ -10,8 +10,9 @@ so that XNOR of two bits equals the sign of the product of the two values,
 and a +-1 dot product of length n becomes ``2 * popcount(XNOR(a, b)) - n``.
 Encoder weights are bool arrays of their logical shape. The FC kernels pack
 bits LSB-first inside little-endian 64-bit words along the last axis
-(``pack_channel_words``). Tail bits past the logical length are always zero;
-the popcount arithmetic relies on that.
+(``pack_channel_words``), and the packed conv maps use the same order one
+byte at a time (``kernels``). Tail bits past the logical length are always
+zero; the popcount arithmetic relies on that.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "as_float",
+    "byte_words",
     "nwords",
     "pack_channel_words",
     "unpack_channel_words",
@@ -36,14 +38,10 @@ def nwords(n):
     return (int(n) + _WORD_BITS - 1) // _WORD_BITS
 
 
-def pack_channel_words(bits):
-    """(..., C) bool or 0/1 integer array -> (..., nw) uint64 words, LSB first, zero tails.
-
-    The bits are packed as given; only the packed bytes are padded to whole
-    words, so no padded copy of the input is made.
-    """
-    by = np.packbits(bits, axis=-1, bitorder="little")
-    nb = nwords(bits.shape[-1]) * (_WORD_BITS // 8)
+def byte_words(by):
+    """(..., nb) uint8 bytes, contiguous along the last axis -> (..., nw)
+    uint64 words, the bytes padded with zeros to whole words."""
+    nb = nwords(8 * by.shape[-1]) * (_WORD_BITS // 8)
     if by.shape[-1] != nb:
         padded = np.zeros(by.shape[:-1] + (nb,), np.uint8)
         padded[..., : by.shape[-1]] = by
@@ -51,8 +49,17 @@ def pack_channel_words(bits):
     return by.view(np.uint64)
 
 
+def pack_channel_words(bits):
+    """(..., C) bool or 0/1 integer array -> (..., nw) uint64 words, LSB first, zero tails.
+
+    The bits are packed as given; only the packed bytes are padded to whole
+    words, so no padded copy of the input is made.
+    """
+    return byte_words(np.packbits(bits, axis=-1, bitorder="little"))
+
+
 def unpack_channel_words(words, c):
-    """(..., nw) uint64 words -> (..., C) array of 0/1 uint8."""
+    """(..., nw) uint64 words, or the uint8 bytes of such words, -> (..., C) array of 0/1 uint8."""
     by = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(by, axis=-1, bitorder="little")
     return bits[..., : int(c)]

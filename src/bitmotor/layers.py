@@ -229,8 +229,15 @@ def encoder_geometry(input_size, channels, fc1_out, feature_dim=FEATURE_DIM):
 class PackedEncoder:
     """Inference pipeline over bool weights and folded thresholds.
 
-    Conv stages carry (H, W, C) bool maps; the first FC stage flattens its
-    map into packed words (``kernels.flat_words``), and FC stages pass words.
+    Conv stages carry packed maps, ``(H, W, ceil(C/8))`` uint8 with 8
+    channels per byte, least-significant bit first and zero tail bits
+    (``kernels``). Conv1 writes its map channels-last from one sgemm whose
+    last weight row is the negated threshold, exact because its partial sums
+    stay within 2*(27*255 + 1); when O is not a multiple of 8, extra columns
+    that never fire keep the tail bits zero. A binary conv's weight matrix
+    has a zero row for each tail bit of its input. The first FC stage
+    flattens the map of the last conv's channels into packed words
+    (``kernels.flat_words``), and FC stages pass words.
     """
 
     def __init__(self, enc: EncoderParams):
@@ -253,8 +260,10 @@ class PackedEncoder:
     def feature_words(self, pixels):
         x = _check_pixels(pixels, self.input_size, self.in_channels)
         for kind, k, pool in self.walk:
-            if kind == "fc" and x.ndim == 3:
-                x = kernels.flat_words(x, x.shape[2])
+            if kind == "conv":
+                c = k.out_channels
+            elif x.ndim == 3:
+                x = kernels.flat_words(x, c)
             x = k(x)
             if pool:
                 x = kernels.pool_or(x)

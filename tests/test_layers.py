@@ -28,13 +28,33 @@ from bitmotor.training import DcaeNet, TrainConfig, _pool_fwd
 
 
 def signs(fired):
-    """Bool map of a packed kernel (True for +1) -> +-1.0 values."""
+    """Bools of a packed kernel (True for +1) -> +-1.0 values."""
     return np.where(fired, np.float32(1.0), np.float32(-1.0))
+
+
+def pack_map(bits):
+    """(H, W, C) bools, True for +1 -> the packed map the conv kernels take."""
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def unpack_map(x, c):
+    """Packed (H, W, ceil(c/8)) uint8 map -> (H, W, c) bools. Fails unless
+    the map is C-contiguous with zero tail bits."""
+    assert x.dtype == np.uint8 and x.shape[2] == -(-c // 8) and x.flags.c_contiguous, (x.dtype, x.shape)
+    bits = np.unpackbits(x, axis=-1, bitorder="little").astype(bool)
+    assert not bits[..., c:].any(), "nonzero tail bits"
+    return bits[..., :c]
 
 
 def run_conv(xs, ws, t):
     """BinConvKernel with folded thresholds ``t`` on a +-1 map; +-1 out."""
-    return signs(kernels.BinConvKernel(ws, t.tau, t.flip)(xs > 0))
+    out = kernels.BinConvKernel(ws, t.tau, t.flip)(pack_map(xs > 0))
+    return signs(unpack_map(out, ws.shape[0]))
+
+
+def run_pool(xs):
+    """pool_or on the packed map of a +-1 map; +-1 out."""
+    return signs(unpack_map(kernels.pool_or(pack_map(xs > 0)), xs.shape[2]))
 
 
 def run_fc(xv, wv, t):
@@ -152,14 +172,14 @@ class TestMaxPool:
     def test_binary_window_with_any_plus_one(self):
         x = -np.ones((5, 5, 1), np.float32)
         x[2, 2, 0] = 1.0
-        out = signs(kernels.pool_or(x > 0))
+        out = run_pool(x)
         assert np.all(out[:, :, 0] == 1.0)
 
     def test_binary_matches_float(self):
         rng = np.random.default_rng(3)
         for shape in [(11, 9, 5), (8, 3, 5), (3, 12, 5), (10, 10, 2)]:
             x = rng.choice([-1.0, 1.0], size=shape).astype(np.float32)
-            assert np.array_equal(signs(kernels.pool_or(x > 0)), maxpool(x)), shape
+            assert np.array_equal(run_pool(x), maxpool(x)), shape
 
     def test_too_small_input(self):
         with pytest.raises(ValueError):
@@ -167,7 +187,7 @@ class TestMaxPool:
         for h, w in [(2, 5), (5, 2)]:
             x = np.zeros((h, w, 1), np.float32)
             with pytest.raises(ValueError):
-                kernels.pool_or(x > 0)
+                kernels.pool_or(pack_map(x > 0))
             with pytest.raises(ValueError):
                 _pool_fwd(x[None])
 
@@ -359,7 +379,9 @@ class TestConvBinary:
         assert np.array_equal(got, want)
 
     def test_shape_mismatch(self):
-        x = np.ones((4, 4, 2), np.float32)
+        # a packed map gives its channel count only to the byte: 9 channels
+        # take two bytes, the kernel of 3 one
+        x = np.ones((4, 4, 9), np.float32)
         with pytest.raises(ValueError):
             run_conv(x, np.ones((1, 3, 3, 3), np.float32), self._thresholds([0]))
 
@@ -397,8 +419,10 @@ class TestPackedConvThresholds:
     @staticmethod
     def _run(first, x, ws, tau, flip):
         if first:
-            return kernels.conv1_forward(x, ws, tau, flip)
-        return kernels.BinConvKernel(ws, tau, flip)(x > 0)
+            out = kernels.conv1_forward(x, ws, tau, flip)
+        else:
+            out = kernels.BinConvKernel(ws, tau, flip)(pack_map(x > 0))
+        return unpack_map(out, ws.shape[0])
 
     def _taus(self, first, ws, pre, rng):
         """Per-channel threshold sets: reached sums and their neighbours
@@ -445,7 +469,9 @@ class TestPackedConvThresholds:
         ws = rng.choice([-1.0, 1.0], size=(o, c_in, 3, 3)).astype(np.float32)
         ws[o // 2 :] = 1.0
         k = kernels.BinConvKernel(ws, np.zeros(o), np.zeros(o, bool))
-        assert k.ww.shape == (9 * c_in, o // 2 if paired else o)
+        # pairing reads the real K; the zero rows of each tap's 232 - c_in
+        # tail bits are inserted after it
+        assert k.ww.shape == (9 * 232, o // 2 if paired else o)
         ones = np.ones((3, 4, c_in), np.float32)
         dent = ones.copy()
         dent[1, 1, 0] = -1.0
@@ -491,9 +517,9 @@ class TestKernelsFromBits:
         flip = flip_set(flips, o)
         a = kernels.Conv1Kernel(ws, tau, flip)
         b = kernels.Conv1Kernel(bits, tau, flip)
-        assert a.wt.dtype == b.wt.dtype == a.t.dtype == np.float32
-        assert a.wt.shape == (o, 9 * c) and a.t.shape == (o, 1)
-        assert np.array_equal(a.wt, b.wt) and np.array_equal(a.t, b.t)
+        assert a.wb.dtype == b.wb.dtype == np.float32
+        assert a.wb.shape == (9 * c + 1, 8 * -(-o // 8))
+        assert np.array_equal(a.wb, b.wb)
 
     @pytest.mark.parametrize("flips", ["none", "all", "mixed"])
     @pytest.mark.parametrize("shape", [(1, 1), (5, 63), (12, 64), (3, 200)])
@@ -529,7 +555,7 @@ class TestPixelMax:
         big = np.iinfo(np.int32)
         k = kernels.Conv1Kernel(ws, np.array([big.max, big.min, 0, 1], np.int32), np.zeros(4, bool))
         bound = 9 * c * PIXEL_MAX + 1
-        assert k.t[:, 0].tolist() == [bound, -bound, 0, 1]
+        assert (-k.wb[-1, :4]).tolist() == [bound, -bound, 0, 1]
 
     def test_net_reads_one_as_the_max_pixel(self):
         net = DcaeNet(TrainConfig(mode="partial", input_size=16, channels=(8, 16), fc1_out=64))
@@ -540,30 +566,154 @@ class TestPixelMax:
 
 
 class TestChannelPlanarMaps:
-    """``Conv1Kernel`` returns a transposed view of channel-planar memory;
-    every kernel that takes an (H, W, C) map gives the same output on such a
-    view as on its contiguous copy."""
+    """Every kernel that takes a packed map gives the same output on a
+    non-contiguous view of it as on its contiguous copy: a channel-planar
+    view (the bytes of each pixel planar in memory), a spatially transposed
+    view, and an interior slice of a wider map."""
 
     @pytest.mark.parametrize("c", [1, 3, 8, 65])
     @pytest.mark.parametrize("hw", [(3, 3), (4, 7), (6, 6), (9, 8)])
     def test_view_matches_contiguous_copy(self, hw, c):
         rng = np.random.default_rng([*hw, c])
-        view = (rng.random((c, *hw)) < 0.5).transpose(1, 2, 0)
-        copy = np.ascontiguousarray(view)
-        assert (c == 1 or not view.flags.c_contiguous) and np.array_equal(view, copy)
+        copy = pack_map(rng.random((*hw, c)) < 0.5)
+        nb = copy.shape[2]
+        border = np.zeros((hw[0] + 2, hw[1] + 2, nb), np.uint8)
+        border[1:-1, 1:-1] = copy
+        views = {
+            "planar": np.ascontiguousarray(copy.transpose(2, 0, 1)).transpose(1, 2, 0),
+            "transposed": np.ascontiguousarray(copy.transpose(1, 0, 2)).transpose(1, 0, 2),
+            "slice": border[1:-1, 1:-1],
+        }
         ws = rng.choice([-1.0, 1.0], size=(5, c, 3, 3)).astype(np.float32)
         conv = kernels.BinConvKernel(ws, rng.integers(-9 * c, 9 * c + 1, 5), flip_set("mixed", 5))
-        assert np.array_equal(conv(view), conv(copy))
-        assert np.array_equal(kernels.pool_or(view), kernels.pool_or(copy))
-        assert np.array_equal(kernels.flat_words(view, c), kernels.flat_words(copy, c))
+        for name, view in views.items():
+            assert (name == "planar" and nb == 1) or not view.flags.c_contiguous, name
+            assert np.array_equal(view, copy), name
+            assert np.array_equal(unpack_map(conv(view), 5), unpack_map(conv(copy), 5)), name
+            pooled = unpack_map(kernels.pool_or(view), c)
+            assert np.array_equal(pooled, unpack_map(kernels.pool_or(copy), c)), name
+            assert np.array_equal(kernels.flat_words(view, c), kernels.flat_words(copy, c)), name
 
-    def test_conv1_output_is_channel_planar(self):
+
+FORMAT_CHANNELS = (1, 3, 5, 8, 17, 63, 64, 65, 130)
+
+
+class TestPackedMapFormat:
+    """The packed map between conv stages: (H, W, ceil(C/8)) uint8, C-contiguous,
+    8 channels per byte LSB first, zero tail bits. ``unpack_map`` checks the
+    layout and the tails of every output."""
+
+    def test_conv1_output_is_contiguous_packed(self):
         rng = np.random.default_rng(14)
         ws = rng.choice([-1.0, 1.0], size=(8, 3, 3, 3)).astype(np.float32)
         k = kernels.Conv1Kernel(ws, rng.integers(-2000, 2000, 8), flip_set("mixed", 8))
         out = k(rng.integers(0, 256, (9, 6, 3), dtype=np.uint8))
-        assert out.shape == (9, 6, 8)
-        assert out.transpose(2, 0, 1).flags.c_contiguous
+        assert out.shape == (9, 6, 1) and out.dtype == np.uint8 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("o", FORMAT_CHANNELS)
+    def test_conv1_tail_columns_never_fire(self, o):
+        rng = np.random.default_rng([o, 1])
+        # thresholds below every reachable sum: every real channel fires
+        ws = rng.choice([-1.0, 1.0], size=(o, 3, 3, 3)).astype(np.float32)
+        k = kernels.Conv1Kernel(ws, np.full(o, -(2**24)), flip_set("mixed", o))
+        o8 = 8 * -(-o // 8)
+        assert np.all(k.wb[:-1, o:] == 0) and np.all(k.wb[-1, o:] == -1.0)
+        assert k.wb.shape == (28, o8)
+        x = rng.integers(0, 256, (5, 4, 3), dtype=np.uint8)
+        fired = unpack_map(k(x), o)
+        assert np.array_equal(fired, np.broadcast_to(~flip_set("mixed", o), fired.shape))
+
+    @pytest.mark.parametrize("o", FORMAT_CHANNELS)
+    def test_conv1_matches_float_oracle(self, o):
+        rng = np.random.default_rng([o, 2])
+        ws = rng.choice([-1.0, 1.0], size=(o, 3, 3, 3)).astype(np.float32)
+        x = rng.integers(0, 256, (6, 5, 3), dtype=np.uint8)
+        pre = conv2d_float(x, ws)
+        tau = rng.integers(-2000, 2000, o)
+        flip = flip_set("mixed", o)
+        got = unpack_map(kernels.Conv1Kernel(ws, tau, flip)(x), o)
+        assert np.array_equal(got, (pre >= tau) != flip)
+
+    @pytest.mark.parametrize("o", FORMAT_CHANNELS)
+    @pytest.mark.parametrize("c", FORMAT_CHANNELS)
+    def test_binconv_matches_float_oracle(self, c, o):
+        rng = np.random.default_rng([c, o])
+        xs = rng.choice([-1.0, 1.0], size=(5, 4, c)).astype(np.float32)
+        ws = rng.choice([-1.0, 1.0], size=(o, c, 3, 3)).astype(np.float32)
+        tau = rng.integers(-9 * c, 9 * c + 1, o)
+        flip = flip_set("mixed", o)
+        k = kernels.BinConvKernel(ws, tau, flip)
+        nb = -(-c // 8)
+        assert k.ww.shape[0] == 72 * nb and np.all(k.ww.reshape(9, 8 * nb, -1)[:, c:] == 0)
+        got = unpack_map(k(pack_map(xs > 0)), o)
+        pre = conv2d_float(xs, ws, pad_value=-1.0)
+        assert np.array_equal(got, (pre >= tau) != flip)
+
+    @pytest.mark.parametrize("c", FORMAT_CHANNELS)
+    def test_pool_is_maxpool_of_the_signs(self, c):
+        rng = np.random.default_rng([c, 3])
+        for hw in [(3, 3), (7, 4), (8, 9)]:
+            xs = rng.choice([-1.0, 1.0], size=(*hw, c)).astype(np.float32)
+            assert np.array_equal(run_pool(xs), maxpool(xs)), hw
+
+    @pytest.mark.parametrize("c", FORMAT_CHANNELS)
+    def test_flat_words_packs_the_ravel(self, c):
+        rng = np.random.default_rng([c, 4])
+        for hw in [(1, 1), (3, 5), (7, 7)]:
+            bits = rng.random((*hw, c)) < 0.5
+            got = kernels.flat_words(pack_map(bits), c)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, pack_channel_words(bits.reshape(-1))), hw
+
+
+class TestOldLayoutRejected:
+    """A bool (H, W, 8) map of 8 channels has the shape and item size of a
+    packed map of 64 channels; every kernel that takes a map or words
+    rejects anything but its own layout, so a stale caller fails loudly."""
+
+    def _bin_conv(self, c):
+        ws = np.ones((4, c, 3, 3), np.bool_)
+        return kernels.BinConvKernel(ws, np.zeros(4), np.zeros(4, bool))
+
+    def test_bool_map_of_the_same_shape(self):
+        stale = np.random.default_rng(0).random((5, 5, 8)) < 0.5
+        assert stale.shape == pack_map(np.ones((5, 5, 64), bool)).shape
+        assert stale.itemsize == 1
+        for run in (self._bin_conv(64), kernels.pool_or, lambda x: kernels.flat_words(x, 64)):
+            with pytest.raises(ValueError, match=r"packed map.*\(H, W, (8|ceil\(C/8\))\) uint8.*got bool"):
+                run(stale)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32])
+    def test_other_dtypes(self, dtype):
+        x = np.zeros((5, 5, 1), dtype)
+        for run in (self._bin_conv(8), kernels.pool_or, lambda x: kernels.flat_words(x, 8)):
+            with pytest.raises(ValueError, match=f"uint8, 8 channels per byte, got {np.dtype(dtype)}"):
+                run(x)
+
+    def test_byte_count_must_match_the_channels(self):
+        for c, nb in [(8, 2), (9, 1), (64, 7)]:
+            x = np.zeros((5, 5, nb), np.uint8)
+            with pytest.raises(ValueError, match=rf"of {c} channels: \(H, W, {-(-c // 8)}\) uint8"):
+                self._bin_conv(c)(x)
+            with pytest.raises(ValueError, match=rf"of {c} channels"):
+                kernels.flat_words(x, c)
+
+    def test_map_must_be_three_dimensional(self):
+        for x in (np.zeros((5, 5), np.uint8), np.zeros((1, 5, 5, 1), np.uint8)):
+            with pytest.raises(ValueError, match="packed map"):
+                kernels.pool_or(x)
+            with pytest.raises(ValueError, match="packed map"):
+                self._bin_conv(8)(x)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.float32, np.int64, np.uint8])
+    def test_fc_takes_uint64_words_only(self, dtype):
+        ws = np.ones((4, 100), np.bool_)
+        k = kernels.BinFcKernel(ws, np.zeros(4), np.zeros(4, bool))
+        words = pack_channel_words(np.ones(100, bool))
+        assert words.shape == (2,)
+        k(words)
+        with pytest.raises(ValueError, match=f"uint64 words for 100 inputs, got {np.dtype(dtype)}"):
+            k(words.astype(dtype))
 
 
 class TestEncoderForward:
@@ -644,6 +794,37 @@ class TestEncoderForward:
         fr = encoder_forward(img, enc, path="reference")
         assert np.array_equal(fp, fr)
         assert np.array_equal(fp, pe.features(pixels[image % 3]))
+
+    @given(
+        st.sampled_from(EDGE_CHANNELS),
+        st.sampled_from(EDGE_CHANNELS),
+        st.sampled_from((5, 17, 40)),
+        st.integers(7, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_packed_equals_reference_on_odd_channels(self, c1, c2, fc1_out, half, seed):
+        # conv1 writes c1 channels and conv2 c2; when c2 % 8 != 0, fc1 reads
+        # its words through flat_words' unpack of the real channels. The
+        # BNs of conv1, conv2 and fc1 are edge sets
+        rng = np.random.default_rng(seed)
+        size = 2 * half + 1
+        enc = random_encoder_params(rng, input_size=size, channels=(c1, c2), fc1_out=fc1_out)
+        fc1_in = enc.layers[2].weights.shape[1]
+        for lay, window in zip(enc.layers[:3], (27 * 255, 9 * c1, fc1_in)):
+            lay.bn = edge_bn(rng, lay.bn.channels, window)
+        pe = PackedEncoder(enc)
+        for img in (rng.integers(0, 256, (size, size, 3), dtype=np.uint8),
+                    np.full((size, size, 3), 255, np.uint8)):
+            assert np.array_equal(pe.features(img), encoder_forward(img, enc))
+
+    def test_desk_geometry_equivalence(self):
+        rng = np.random.default_rng(18)
+        enc = random_encoder_params(rng, layers.DESK_INPUT_SIZE, layers.DESK_CHANNELS, layers.DESK_FC1_OUT)
+        pe = PackedEncoder(enc)
+        for _ in range(3):
+            img = rng.integers(0, 256, (layers.DESK_INPUT_SIZE,) * 2 + (3,), dtype=np.uint8)
+            assert np.array_equal(pe.features(img), encoder_forward(img, enc))
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.complex64, object])
     @pytest.mark.parametrize("entry", ["packed", "reference"])

@@ -521,7 +521,9 @@ class TestDeployParity:
             deployed = PackedEncoder(net.encoder_params())
             conv1 = [kernels.conv1_forward(img, deployed.conv1_signs, deployed.conv1_tau, deployed.conv1_flip)
                      for img in imgs]
-            assert np.array_equal(np.stack(conv1), bn_forward(pre, bn) >= 0), trial
+            # the packed maps, 8 channels per byte, unpacked to the len(w) real ones
+            fired = np.unpackbits(np.stack(conv1), axis=-1, count=len(w), bitorder="little")
+            assert np.array_equal(fired.astype(bool), bn_forward(pre, bn) >= 0), trial
             want = extract_features(net, imgs)
             for img, feat in zip(imgs, want):
                 assert np.array_equal(deployed.features(img), feat), trial
